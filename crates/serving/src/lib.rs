@@ -19,6 +19,7 @@ pub mod disagg;
 pub mod engine;
 pub mod generation;
 pub mod health;
+pub mod membership;
 pub mod metrics;
 pub mod prefix;
 pub mod recovery;
