@@ -216,13 +216,10 @@ use std::collections::HashMap;
 
 use liger_gpu_sim::{CoreSelect, Driver, Simulation, Wake};
 
-use crate::engine::{InferenceEngine, RUNNER_TOKEN_BASE};
+use crate::engine::{InferenceEngine, RunnerToken};
 use crate::metrics::ServingMetrics;
 use crate::request::Completion;
 use crate::runner::run_core;
-
-/// Flush-timer token marker within the runner namespace.
-const FLUSH_BIT: u64 = 1 << 62;
 
 /// One dispatched batch awaiting completion.
 #[derive(Debug, Clone)]
@@ -317,7 +314,7 @@ impl<'a, E: InferenceEngine + ?Sized> QueryRunner<'a, E> {
     fn arm_flush_timer(&mut self, sim: &mut Simulation) {
         if let Some(deadline) = self.batcher.flush_deadline() {
             self.flush_gen += 1;
-            sim.set_timer(deadline, RUNNER_TOKEN_BASE | FLUSH_BIT | self.flush_gen);
+            sim.set_timer(deadline, RunnerToken::Flush(self.flush_gen).encode());
         }
     }
 
@@ -358,23 +355,23 @@ impl<E: InferenceEngine + ?Sized> Driver for QueryRunner<'_, E> {
         }
         for (i, q) in self.queries.iter().enumerate() {
             debug_assert_eq!(q.id as usize, i, "query ids must be dense indices");
-            sim.set_timer(q.arrival, RUNNER_TOKEN_BASE | q.id);
+            sim.set_timer(q.arrival, RunnerToken::Arrival(q.id).encode());
         }
     }
 
     fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
-        match wake {
-            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 && token & FLUSH_BIT != 0 => {
+        match (wake, RunnerToken::of(&wake)) {
+            (Wake::Timer { .. }, Some(RunnerToken::Flush(generation))) => {
                 // Only the newest flush timer is authoritative.
-                if token & !(RUNNER_TOKEN_BASE | FLUSH_BIT) == self.flush_gen {
+                if generation == self.flush_gen {
                     if let Some(batch) = self.batcher.flush(sim.now()) {
                         self.dispatch(batch, sim);
                     }
                     self.arm_flush_timer(sim);
                 }
             }
-            Wake::Timer { token } if token & RUNNER_TOKEN_BASE != 0 => {
-                let id = (token & !RUNNER_TOKEN_BASE) as usize;
+            (Wake::Timer { .. }, Some(RunnerToken::Arrival(id))) => {
+                let id = id as usize;
                 let was_empty = self.batcher.pending() == 0;
                 if let Some(batch) = self.batcher.offer(self.queries[id]) {
                     self.dispatch(batch, sim);
@@ -383,7 +380,7 @@ impl<E: InferenceEngine + ?Sized> Driver for QueryRunner<'_, E> {
                     self.arm_flush_timer(sim);
                 }
             }
-            Wake::KernelFailed { tag, .. } => {
+            (Wake::KernelFailed { tag, .. }, _) => {
                 if self.requeue_limit > 0 {
                     self.metrics.faults_mut().kernel_failures += 1;
                     if let Some(entry) = self.in_flight.get_mut(&tag) {
@@ -392,7 +389,7 @@ impl<E: InferenceEngine + ?Sized> Driver for QueryRunner<'_, E> {
                 }
                 self.engine.on_wake(wake, sim);
             }
-            other => self.engine.on_wake(other, sim),
+            (other, _) => self.engine.on_wake(other, sim),
         }
         self.collect(sim);
     }
