@@ -39,7 +39,6 @@ use crate::engine::InferenceEngine;
 use crate::generation::{GenerationJob, GenerationMetrics, GenerationResult};
 use crate::metrics::{MetricsSections, ServingMetrics};
 use crate::prefix::PrefixTag;
-use crate::request::Completion;
 use crate::scheduler::{serve_continuous_on, ContinuousReport, SchedulerConfig};
 
 /// Deterministic request-routing policy of the cluster front.
@@ -348,52 +347,15 @@ fn run_replica<E: InferenceEngine>(
         completed[r.id as usize] = true;
         generation.record(GenerationResult { id: global(r.id), ..*r });
     }
-    let mut serving = ServingMetrics::new();
-    for c in report.serving.completions() {
-        serving.record(Completion { id: global(c.id), ..*c });
-    }
-    // Counters carry no ids except shed records; remap those in place.
-    let mut counters_only = report.serving.clone();
-    counters_only_strip(&mut counters_only);
-    serving.merge(&counters_only);
-    for s in &report.serving.recovery().shed {
-        let mut s = *s;
-        s.id = global(s.id);
-        serving.recovery_mut().shed.push(s);
-    }
+    report.serving.remap_ids(global);
     report.generation = generation;
     let outputs: BTreeMap<u64, Vec<u64>> =
         std::mem::take(&mut report.outputs).into_iter().map(|(id, ts)| (global(id), ts)).collect();
     report.outputs = outputs;
-    report.serving = serving;
 
     let unfinished: Vec<u64> =
         (0..order.len()).filter(|&i| !completed[i]).map(|i| order[i]).collect();
     ReplicaOutcome { report, unfinished }
-}
-
-/// Drops the id-bearing pieces (completions, shed records) from a metrics
-/// clone so merging it only adds the scalar counters.
-fn counters_only_strip(metrics: &mut ServingMetrics) {
-    *metrics = {
-        let mut m = ServingMetrics::new();
-        m.faults_mut().merge(metrics.faults());
-        let rec = m.recovery_mut();
-        let o = metrics.recovery();
-        rec.losses = o.losses;
-        rec.detection_latency = o.detection_latency;
-        rec.drain_time = o.drain_time;
-        rec.replan_time = o.replan_time;
-        rec.recompute_tokens = o.recompute_tokens;
-        rec.timeline = o.timeline.clone();
-        rec.flaps = o.flaps;
-        rec.rejoins = o.rejoins;
-        rec.re_expansions = o.re_expansions;
-        m.batching_mut().merge(metrics.batching());
-        m.prefix_mut().merge(metrics.prefix());
-        m.spec_mut().merge(metrics.spec());
-        m
-    };
 }
 
 /// Folds one replica outcome into the cluster report.

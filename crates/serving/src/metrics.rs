@@ -333,6 +333,17 @@ impl ServingMetrics {
         &mut self.spec
     }
 
+    /// Renumbers every job id the metrics carry (completions and shed
+    /// records) — a replica's dense local ids back to the cluster's.
+    pub(crate) fn remap_ids(&mut self, id: impl Fn(u64) -> u64) {
+        for c in &mut self.completions {
+            c.id = id(c.id);
+        }
+        for s in &mut self.recovery.shed {
+            s.id = id(s.id);
+        }
+    }
+
     /// Folds another run's metrics into this one — the cluster tier's
     /// aggregate view over per-replica metrics. Completions concatenate
     /// (remap ids before merging if the runs numbered jobs independently);
