@@ -525,13 +525,18 @@ impl<'a> JsonParser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 passes through unchanged; advance by
-                    // whole characters to keep `out` valid.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // A run of plain bytes up to the next quote or escape
+                    // passes through unchanged; validate it once (not the
+                    // whole remaining input per character).
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..len.unwrap_or(rest.len())];
+                    #[cfg(test)]
+                    UTF8_VALIDATED.with(|n| n.set(n.get() + run.len()));
+                    let run = std::str::from_utf8(run)
                         .map_err(|_| JsonError::at(self.pos, "valid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -572,8 +577,42 @@ impl<'a> JsonParser<'a> {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Bytes the string decoder has run through UTF-8 validation (the
+    /// linear-work test's counter).
+    static UTF8_VALIDATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn string_decoding_validates_each_byte_once() {
+        // A >= 1 MB string literal of plain ASCII and multi-byte runs split
+        // by escapes: the decoder must validate each plain byte once, not
+        // the whole remaining input per character.
+        let mut body = String::new();
+        while body.len() < 1 << 20 {
+            body.push_str("plain text run, µ-ops and ünïcödé \\\"\\n\\u00e9 ");
+        }
+        let input = format!("\"{body}\"");
+        UTF8_VALIDATED.with(|n| n.set(0));
+        let parsed = JsonValue::parse(&input).expect("valid string literal");
+        let validated = UTF8_VALIDATED.with(|n| n.get());
+        assert!(validated <= 2 * input.len(), "{validated} bytes validated for {}", input.len());
+        let JsonValue::String(s) = parsed else { panic!("not a string: {parsed:?}") };
+        assert!(s.starts_with("plain text run, µ-ops and ünïcödé \"\né plain"));
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_a_typed_error_at_the_run() {
+        let bytes = b"\"ok \xff bad\"";
+        let mut p = JsonParser { bytes, pos: 0 };
+        let err = p.string().expect_err("invalid UTF-8 must not decode");
+        assert_eq!(err.offset, 1, "reported where the plain run starts");
+        assert_eq!(err.expected, "valid UTF-8");
+    }
 
     #[test]
     fn escaping() {
