@@ -33,6 +33,13 @@ cargo build --release --workspace
 echo "==> cargo test -q (offline)"
 cargo test -q --workspace
 
+# Behaviour lock: FNV digests of every serving runner's Chrome trace and
+# metrics JSON over a fixed matrix must match tests/golden/. Run on its own
+# so a drift is reported as a lock break, not as one test among hundreds;
+# the LIGER_CORE=par full-suite pass below covers it on the parallel core.
+echo "==> behaviour lock"
+cargo test -q --test behaviour_lock
+
 # Fault-injection and property suites: once with the pinned seed the suite
 # is known-green on (reproducible gate), once unpinned (testkit derives a
 # fresh seed per process, widening coverage over time). A failure prints
