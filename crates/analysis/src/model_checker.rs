@@ -1,12 +1,13 @@
 //! Schedule-space model checking of event interleavings.
 //!
-//! The parallel event core (DESIGN §13) resolves merge-order choices
-//! deterministically: whenever several pending events are commutable under
-//! its conservative window rule it dispatches them in canonical order and
-//! *asserts* the order could not have mattered. This module checks that
-//! claim — and the stronger claims a future optimistic (time-warp) core
-//! would need — by bounded-exhaustive exploration of the schedule space
-//! with dynamic partial-order reduction:
+//! The sequential event core (DESIGN §13) breaks ties among pending events
+//! on different devices by the canonical `(time, lane rank, seq)` key. On
+//! real hardware those devices race; the tie-break is only sound if the
+//! order could not have mattered. Under the conservative window rule this
+//! module checks that claim — and under the unguarded rule the stronger
+//! claims an optimistic (time-warp) core would need — by
+//! bounded-exhaustive exploration of the schedule space with dynamic
+//! partial-order reduction:
 //!
 //! 1. An [`ExploreCore`] run records a *trail* of [`ChoicePoint`]s: the
 //!    simulation steps where ≥ 2 pending events were reorderable under the

@@ -1,13 +1,9 @@
-//! Cluster-tier determinism and fault-storm tests.
+//! Cluster-tier sanitizer and fault-storm tests.
 //!
 //! The cluster front (replica router) and the disaggregated prefill/decode
 //! split each run real [`LigerEngine`]s over real simulations, so this
 //! tier gets the same guarantees as every other layer:
 //!
-//! * **cross-core byte-identity** — serving the same trace under the
-//!   sequential oracle and under the parallel event core (1, 2 and 4
-//!   workers) must export byte-identical Chrome traces and identical
-//!   reports, for every router policy and for the disaggregated mode;
 //! * **sanitizer-clean** — every per-replica and per-node trace passes the
 //!   happens-before sanitizer with zero diagnostics, healthy or degraded
 //!   (streamed KV blocks: no leak, no use-after-free, no double free);
@@ -20,11 +16,11 @@ use std::collections::BTreeSet;
 
 use liger_collectives::ClusterTopology;
 use liger_core::{LigerConfig, LigerEngine};
-use liger_gpu_sim::{CoreSelect, DeviceId, DeviceSpec, FaultSpec, HostSpec, SimTime, Simulation};
+use liger_gpu_sim::{DeviceId, DeviceSpec, FaultSpec, HostSpec, SimTime, Simulation};
 use liger_model::{CostModel, ModelConfig, RecoveryPolicy};
 use liger_serving::{
-    serve_cluster_on, serve_disaggregated_on, ClusterConfig, ClusterReport, DisaggConfig,
-    DisaggReport, GenerationJob, PrefixTag, RouterPolicy, SchedulerConfig,
+    serve_cluster, serve_disaggregated, ClusterConfig, ClusterReport, DisaggConfig, DisaggReport,
+    GenerationJob, PrefixTag, RouterPolicy, SchedulerConfig,
 };
 use liger_verify::sanitize;
 
@@ -75,80 +71,31 @@ fn jobs(n: u64, gap_us: u64) -> Vec<GenerationJob> {
         .collect()
 }
 
-/// Every observable byte of a cluster run: per-replica Chrome traces plus
-/// the completion/output/loss accounting.
-fn cluster_fingerprint(r: &ClusterReport) -> String {
-    let mut s = String::new();
-    for t in &r.traces {
-        s.push_str(&t.to_chrome_json());
-        s.push('\n');
-    }
-    s.push_str(&format!(
-        "completed={} rerouted={} lost={:?} outputs={:?}",
-        r.completed(),
-        r.rerouted,
-        r.lost,
-        r.outputs
-    ));
-    s
-}
-
-fn disagg_fingerprint(r: &DisaggReport) -> String {
-    let mut s = String::new();
-    for t in &r.traces {
-        s.push_str(&t.to_chrome_json());
-        s.push('\n');
-    }
-    s.push_str(&format!(
-        "completed={} streamed_blocks={} streamed_bytes={} outputs={:?}",
-        r.generation.completed(),
-        r.streamed_blocks,
-        r.streamed_bytes,
-        r.outputs
-    ));
-    s
-}
-
 fn run_cluster(
-    core: CoreSelect,
     policy: RouterPolicy,
     faults: impl Fn(usize, usize) -> Option<FaultSpec>,
 ) -> ClusterReport {
     let world = 2;
     let config = ClusterConfig::new(3, scheduler(world as u32)).with_policy(policy);
-    serve_cluster_on(core, jobs(24, 20), &model(), &cost(), config, |replica, wave| {
+    serve_cluster(jobs(24, 20), &model(), &cost(), config, |replica, wave| {
         (sim(world, faults(replica, wave)), engine(world))
     })
 }
 
-fn cores() -> [CoreSelect; 4] {
-    [
-        CoreSelect::Seq,
-        CoreSelect::Par { workers: 1 },
-        CoreSelect::Par { workers: 2 },
-        CoreSelect::Par { workers: 4 },
-    ]
-}
-
-/// Healthy cluster: every router policy serves byte-identically on the
-/// sequential and parallel cores, and every replica trace sanitizes clean.
+/// Healthy cluster: every router policy serves the whole trace and every
+/// replica trace sanitizes clean.
 #[test]
-fn cluster_is_byte_identical_across_cores() {
+fn healthy_cluster_serves_everything_sanitizer_clean() {
     for policy in
         [RouterPolicy::RoundRobin, RouterPolicy::LeastOutstanding, RouterPolicy::PrefixAffinity]
     {
-        let oracle = run_cluster(CoreSelect::Seq, policy, |_, _| None);
-        assert_eq!(oracle.completed(), 24, "{}: healthy cluster completes all", policy.name());
-        assert!(oracle.lost.is_empty());
-        assert!(oracle.replicas.iter().all(|r| r.healthy));
-        for (i, t) in oracle.traces.iter().enumerate() {
+        let report = run_cluster(policy, |_, _| None);
+        assert_eq!(report.completed(), 24, "{}: healthy cluster completes all", policy.name());
+        assert!(report.lost.is_empty());
+        assert!(report.replicas.iter().all(|r| r.healthy));
+        for (i, t) in report.traces.iter().enumerate() {
             let diags = sanitize(t);
             assert!(diags.is_empty(), "{}: replica {i} trace: {diags:?}", policy.name());
-        }
-        let want = cluster_fingerprint(&oracle);
-        for core in &cores()[1..] {
-            let got = cluster_fingerprint(&run_cluster(*core, policy, |_, _| None));
-            assert_eq!(got, want, "{}: {core:?} diverges from Seq", policy.name());
         }
     }
 }
@@ -156,8 +103,7 @@ fn cluster_is_byte_identical_across_cores() {
 /// Replica-loss storm: two of three replicas lose a device mid-serve (a
 /// strict subset — the survivor keeps the replica draining). The unhealthy
 /// replicas shed their backlog, the healthy replica absorbs it in the
-/// re-route wave, and the storm is byte-identical across cores with every
-/// trace (degraded included) sanitizer-clean.
+/// re-route wave, and every trace (degraded included) is sanitizer-clean.
 #[test]
 fn replica_loss_storm_drains_and_reroutes() {
     // A deep backlog at death time: tight arrivals, a small running set and
@@ -168,19 +114,19 @@ fn replica_loss_storm_drains_and_reroutes() {
         (wave == 0 && (replica == 0 || replica == 2))
             .then(|| FaultSpec::new(1).device_down(DeviceId(1), death))
     };
-    let run = |core: CoreSelect| -> ClusterReport {
+    let run = || -> ClusterReport {
         let mut sched = scheduler(2);
         sched.max_running = 2;
         sched.admission.queue_watermark = 2;
         // The watchdog is what converts a DeviceDown into a confirmed loss.
         sched.health = Some(liger_serving::HealthConfig::default());
         let config = ClusterConfig::new(3, sched);
-        serve_cluster_on(core, storm_jobs(), &model(), &cost(), config, |replica, wave| {
+        serve_cluster(storm_jobs(), &model(), &cost(), config, |replica, wave| {
             (sim(2, faults(replica, wave)), engine(2))
         })
     };
 
-    let report = run(CoreSelect::Seq);
+    let report = run();
     assert!(!report.replicas[0].healthy, "replica 0 lost a device");
     assert!(report.replicas[1].healthy, "replica 1 was untouched");
     assert!(!report.replicas[2].healthy, "replica 2 lost a device");
@@ -205,42 +151,30 @@ fn replica_loss_storm_drains_and_reroutes() {
         let diags = sanitize(t);
         assert!(diags.is_empty(), "storm trace {i}: {diags:?}");
     }
-
-    // And the whole storm is deterministic across event cores.
-    let want = cluster_fingerprint(&report);
-    for core in &cores()[1..] {
-        assert_eq!(cluster_fingerprint(&run(*core)), want, "{core:?} diverges under storm");
-    }
 }
 
-fn run_disagg(core: CoreSelect, degrade: f64) -> DisaggReport {
+fn run_disagg(degrade: f64) -> DisaggReport {
     let cluster = ClusterTopology::v100_cluster(2, 2);
     let mut config = DisaggConfig::new(cluster, scheduler(2)).with_nic_degrade(degrade);
     config.scheduler.policy = RecoveryPolicy::Replicate;
-    serve_disaggregated_on(core, jobs(20, 30), &model(), &cost(), config, |_role, devices| {
+    serve_disaggregated(jobs(20, 30), &model(), config, |_role, devices| {
         (sim(devices.len(), None), engine(devices.len()))
     })
 }
 
-/// Disaggregated mode: prefill and decode node traces are byte-identical
-/// across event cores, every streamed KV block is tracked end-to-end
-/// (sanitizer-clean on both nodes), and a degraded NIC changes the
-/// timeline without breaking determinism or block accounting.
+/// Disaggregated mode: every job completes, every streamed KV block is
+/// tracked end-to-end (sanitizer-clean on both nodes), and a degraded NIC
+/// changes the timeline without breaking block accounting.
 #[test]
-fn disagg_is_byte_identical_across_cores() {
+fn disagg_streams_kv_sanitizer_clean() {
     for degrade in [1.0, 4.0] {
-        let oracle = run_disagg(CoreSelect::Seq, degrade);
-        assert_eq!(oracle.generation.completed(), 20, "disagg completes all jobs");
-        assert!(oracle.streamed_blocks > 0, "prefill node streamed KV blocks");
-        assert_eq!(oracle.traces.len(), 2, "one trace per node");
-        for (t, label) in oracle.traces.iter().zip(["prefill", "decode"]) {
+        let report = run_disagg(degrade);
+        assert_eq!(report.generation.completed(), 20, "disagg completes all jobs");
+        assert!(report.streamed_blocks > 0, "prefill node streamed KV blocks");
+        assert_eq!(report.traces.len(), 2, "one trace per node");
+        for (t, label) in report.traces.iter().zip(["prefill", "decode"]) {
             let diags = sanitize(t);
             assert!(diags.is_empty(), "{label} node (degrade {degrade}): {diags:?}");
-        }
-        let want = disagg_fingerprint(&oracle);
-        for core in &cores()[1..] {
-            let got = disagg_fingerprint(&run_disagg(*core, degrade));
-            assert_eq!(got, want, "{core:?} diverges from Seq at degrade {degrade}");
         }
     }
 }
@@ -249,8 +183,8 @@ fn disagg_is_byte_identical_across_cores() {
 /// admission happens later than with the healthy link.
 #[test]
 fn degraded_nic_delays_decode_admission() {
-    let healthy = run_disagg(CoreSelect::Seq, 1.0);
-    let degraded = run_disagg(CoreSelect::Seq, 16.0);
+    let healthy = run_disagg(1.0);
+    let degraded = run_disagg(16.0);
     assert_eq!(healthy.streamed_blocks, degraded.streamed_blocks, "same blocks either way");
     assert!(degraded.streamed_bytes == healthy.streamed_bytes);
     let finish = |r: &DisaggReport| {

@@ -18,7 +18,7 @@ pub mod harness;
 pub mod micro;
 
 pub use harness::{
-    arg_core, arg_faults, arg_flag, arg_value, default_requests, intra_capacity, maybe_write_csv,
+    arg_faults, arg_flag, arg_value, default_requests, intra_capacity, maybe_write_csv,
     maybe_write_json, rate_grid, run_liger_recovery, run_serving, run_serving_with_faults, sweep,
     EngineKind, ExperimentPoint, Node, Table,
 };

@@ -63,7 +63,6 @@ pub mod kernel;
 mod lanes;
 pub mod memory;
 pub mod rng;
-mod shard;
 pub mod sim;
 pub mod stats;
 pub mod testkit;
@@ -72,8 +71,7 @@ pub mod trace;
 
 pub use contention::ContentionParams;
 pub use cores::{
-    ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, ParallelCore, SequentialCore,
-    WindowRule,
+    ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, SequentialCore, WindowRule,
 };
 pub use device::DeviceSpec;
 pub use faults::{DeviceDown, FaultSpec, KernelFaultParams, LaunchSpikeParams, ParseError};
@@ -95,8 +93,7 @@ pub use trace::{ParsedChromeTrace, Trace, TraceEvent, TraceMark, TraceParseError
 pub mod prelude {
     pub use crate::contention::ContentionParams;
     pub use crate::cores::{
-        ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, ParallelCore,
-        SequentialCore, WindowRule,
+        ChoicePoint, CoreSelect, EnabledEvent, EventCore, ExploreCore, SequentialCore, WindowRule,
     };
     pub use crate::device::DeviceSpec;
     pub use crate::faults::{

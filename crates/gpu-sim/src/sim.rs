@@ -143,11 +143,11 @@ pub(crate) enum StreamOp {
 }
 
 impl StreamOp {
-    /// True for operations a device shard cannot process on its own: event
-    /// records and waits (they synchronize across lanes) and collective
-    /// member kernels (they rendezvous across devices). A device whose
-    /// queues hold any boundary op is pinned to the coordinator until the
-    /// op drains — see [`crate::cores::ParallelCore`].
+    /// True for operations whose effects reach past their own device lane:
+    /// event records and waits (they synchronize across lanes) and
+    /// collective member kernels (they rendezvous across devices). The
+    /// explore core's conservative rule pins a dispatch that reaches one
+    /// to the canonical order.
     pub(crate) fn is_boundary(&self) -> bool {
         match self {
             StreamOp::Record(_) | StreamOp::Wait(_) => true,
@@ -186,32 +186,21 @@ pub(crate) struct QueueRt {
     ops: VecDeque<QueuedOp>,
     pub(crate) head: HeadState,
     pub(crate) lag_gen: u64,
-    /// Count of boundary ops ([`StreamOp::is_boundary`]) currently in `ops`.
-    /// Maintained by [`QueueRt::push_op`]/[`QueueRt::pop_op`] so the
-    /// parallel core's shard-safety check is O(queues), not O(queued ops).
-    boundary_ops: u32,
 }
 
 impl QueueRt {
     fn new() -> QueueRt {
-        QueueRt { ops: VecDeque::new(), head: HeadState::Idle, lag_gen: 0, boundary_ops: 0 }
+        QueueRt { ops: VecDeque::new(), head: HeadState::Idle, lag_gen: 0 }
     }
 
-    /// Appends an op, maintaining the boundary count. All queue mutations
-    /// must go through `push_op`/`pop_op` — pushing to `ops` directly would
-    /// silently corrupt the parallel core's shard-safety accounting.
+    /// Appends an op at the back of the queue.
     pub(crate) fn push_op(&mut self, op: QueuedOp) {
-        self.boundary_ops += op.op.is_boundary() as u32;
         self.ops.push_back(op);
     }
 
-    /// Pops the front op, maintaining the boundary count.
+    /// Pops the front op.
     pub(crate) fn pop_op(&mut self) -> Option<QueuedOp> {
-        let op = self.ops.pop_front();
-        if let Some(o) = &op {
-            self.boundary_ops -= o.op.is_boundary() as u32;
-        }
-        op
+        self.ops.pop_front()
     }
 
     /// The op at the front of the queue, if any.
@@ -233,16 +222,6 @@ impl QueueRt {
     /// Iterates the queued ops front to back.
     pub(crate) fn iter_ops(&self) -> impl Iterator<Item = &QueuedOp> {
         self.ops.iter()
-    }
-
-    /// True when any queued op requires coordinator-side processing.
-    pub(crate) fn has_boundary_ops(&self) -> bool {
-        debug_assert_eq!(
-            self.boundary_ops as usize,
-            self.ops.iter().filter(|o| o.op.is_boundary()).count(),
-            "boundary-op count drifted from queue contents"
-        );
-        self.boundary_ops > 0
     }
 }
 
@@ -287,39 +266,11 @@ impl DeviceRt {
         self.spec.contention.slowdown(class, self.n_compute, self.n_comm, self.comm_channels)
     }
 
-    /// A hollow stand-in swapped into [`Simulation::devices`] while the real
-    /// `DeviceRt` is out on loan to a shard worker. Never executes anything.
-    pub(crate) fn placeholder() -> DeviceRt {
-        DeviceRt {
-            spec: DeviceSpec {
-                name: String::new(),
-                sm_count: 1,
-                peak_flops_fp16: 1.0,
-                mem_bw: 1.0,
-                mem_capacity: 0,
-                connections: 1,
-                contention: crate::contention::ContentionParams::frictionless(),
-            },
-            queues: Vec::new(),
-            run: Vec::new(),
-            free_slots: Vec::new(),
-            n_compute: 0,
-            n_comm: 0,
-            comm_channels: 0,
-            active_colls: Vec::new(),
-            alive: false,
-            stats: DeviceStats::default(),
-        }
-    }
-
     // -- device-local physics -----------------------------------------------
     //
     // Everything below touches only this device's own state (plus its event
-    // lane, passed in by the caller), so the sequential core and a parallel
-    // shard run the *same* code — and therefore the same f64 arithmetic in
-    // the same order — for the plain-kernel fast path. Collective handling
-    // stays on `Simulation`: collectives span devices and are always
-    // processed by the coordinator.
+    // lane, passed in by the caller): the plain-kernel fast path. Collective
+    // handling stays on `Simulation`, because collectives span devices.
 
     /// Charges elapsed progress (at current rates) to every live plain
     /// kernel on this device.
@@ -561,7 +512,7 @@ struct EventRt {
 /// dispatch-lag expiries) ride the owning device's lane; everything that can
 /// touch more than one device — host completions, timers, driver wakes,
 /// collective completions, fault boundaries, device deaths — rides the
-/// global lane and is always dispatched by the coordinator.
+/// global lane.
 #[derive(Debug, Clone)]
 pub(crate) enum Pending {
     HostReady {
@@ -595,8 +546,8 @@ pub(crate) enum Pending {
         device: usize,
     },
     /// A device's outage window closes at this instant: it rejoins with
-    /// empty queues. Rides the global lane so the rejoin is dispatched by
-    /// the coordinator in canonical order.
+    /// empty queues. Rides the global lane so the rejoin dispatches in
+    /// canonical order ahead of same-instant device events.
     DeviceRejoin {
         device: usize,
     },
@@ -961,8 +912,7 @@ impl Simulation {
         &self.devices[d.0].spec
     }
 
-    /// Host specification. Serving layers read the launch overhead here to
-    /// derive the parallel core's lookahead.
+    /// Host specification.
     pub fn host_spec(&self, h: HostId) -> &HostSpec {
         &self.hosts[h.0].spec
     }
@@ -1223,41 +1173,21 @@ impl Simulation {
 
     // -- event loop -----------------------------------------------------------
 
-    /// Runs the simulation until the event lanes drain, `deadline` passes, or
-    /// the driver requests a stop, using the ambient core selection
-    /// ([`CoreSelect::from_env`]: the `LIGER_CORE` environment variable when
-    /// set, else the sequential engine). Returns the final simulated time.
+    /// Runs the simulation on the [`SequentialCore`] until the event lanes
+    /// drain, `deadline` passes, or the driver requests a stop. Returns the
+    /// final simulated time.
     ///
-    /// [`CoreSelect::from_env`]: crate::cores::CoreSelect::from_env
+    /// [`SequentialCore`]: crate::cores::SequentialCore
     pub fn run(&mut self, driver: &mut dyn Driver, deadline: SimTime) -> SimTime {
-        self.run_with_core(crate::cores::CoreSelect::from_env(), driver, deadline)
-    }
-
-    /// [`Simulation::run`] with an explicit event-core selection. Both cores
-    /// produce byte-identical traces and metrics for the same seed; see
-    /// [`crate::cores`].
-    pub fn run_with_core(
-        &mut self,
-        core: crate::cores::CoreSelect,
-        driver: &mut dyn Driver,
-        deadline: SimTime,
-    ) -> SimTime {
         use crate::cores::EventCore;
-        match core {
-            crate::cores::CoreSelect::Seq => {
-                crate::cores::SequentialCore.run(self, driver, deadline)
-            }
-            crate::cores::CoreSelect::Par { workers } => {
-                crate::cores::ParallelCore::new(workers).run(self, driver, deadline)
-            }
-        }
+        crate::cores::SequentialCore.run(self, driver, deadline)
     }
 
     /// Pops the canonically-next pending event across all lanes: the
     /// smallest `(time, lane rank, lane seq)` key, with the global lane at
-    /// rank 0 and device `d` at rank `d + 1`. Every event core dispatches in
-    /// exactly this order — that invariant is what makes traces
-    /// byte-identical across cores and worker counts.
+    /// rank 0 and device `d` at rank `d + 1`. The sequential core dispatches
+    /// in exactly this order, and the explore core's canonical schedule
+    /// reproduces it.
     pub(crate) fn pop_next(&mut self) -> Option<(SimTime, Pending)> {
         let mut best: Option<((SimTime, usize, u64), usize)> =
             self.global_lane.peek_key().map(|(at, seq)| ((at, 0, seq), 0));
@@ -1313,15 +1243,6 @@ impl Simulation {
     /// [`Simulation::run`] with no deadline.
     pub fn run_to_completion(&mut self, driver: &mut dyn Driver) -> SimTime {
         self.run(driver, SimTime::MAX)
-    }
-
-    /// [`Simulation::run_with_core`] with no deadline.
-    pub fn run_to_completion_with(
-        &mut self,
-        core: crate::cores::CoreSelect,
-        driver: &mut dyn Driver,
-    ) -> SimTime {
-        self.run_with_core(core, driver, SimTime::MAX)
     }
 
     /// Applies `f` to the armed dispatch-footprint probe, if any.

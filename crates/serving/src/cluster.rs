@@ -1,10 +1,9 @@
 //! Cluster front: N model replicas behind a deterministic router.
 //!
 //! Each replica is a full engine serving its share of the trace with
-//! [`serve_continuous`](crate::scheduler::serve_continuous) on its own node (its own [`Simulation`], so replica
-//! traces sanitize independently and the whole tier stays byte-identical
-//! across event cores). The router assigns jobs to replicas **at arrival
-//! order** with a pluggable [`RouterPolicy`]:
+//! [`serve_continuous`] on its own node (its own [`Simulation`], so replica
+//! traces sanitize independently). The router assigns jobs to replicas **at
+//! arrival order** with a pluggable [`RouterPolicy`]:
 //!
 //! * **Round-robin** — job *i* to replica *i mod N*.
 //! * **Least-outstanding** — the replica with the fewest outstanding tokens
@@ -39,7 +38,7 @@ use crate::engine::InferenceEngine;
 use crate::generation::{GenerationJob, GenerationMetrics, GenerationResult};
 use crate::metrics::{MetricsSections, ServingMetrics};
 use crate::prefix::PrefixTag;
-use crate::scheduler::{serve_continuous_on, ContinuousReport, SchedulerConfig};
+use crate::scheduler::{serve_continuous, ContinuousReport, SchedulerConfig};
 
 /// Deterministic request-routing policy of the cluster front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,23 +204,11 @@ pub fn route_jobs(jobs: &[GenerationJob], replicas: usize, policy: RouterPolicy)
     assignment
 }
 
-/// Serves `jobs` over a cluster of replicas on the environment-selected
-/// event core. `make_replica(replica, wave)` builds one replica's
-/// simulation and engine — wave 0 is the initial dispatch, wave 1 the
-/// re-route pass (fresh sim: the first one has run to completion).
+/// Serves `jobs` over a cluster of replicas. `make_replica(replica, wave)`
+/// builds one replica's simulation and engine — wave 0 is the initial
+/// dispatch, wave 1 the re-route pass (fresh sim: the first one has run to
+/// completion).
 pub fn serve_cluster<E: InferenceEngine>(
-    jobs: Vec<GenerationJob>,
-    model: &ModelConfig,
-    cost: &CostModel,
-    config: ClusterConfig,
-    make_replica: impl FnMut(usize, usize) -> (Simulation, E),
-) -> ClusterReport {
-    serve_cluster_on(CoreSelect::from_env(), jobs, model, cost, config, make_replica)
-}
-
-/// [`serve_cluster`] on an explicit event core.
-pub fn serve_cluster_on<E: InferenceEngine>(
-    core: CoreSelect,
     jobs: Vec<GenerationJob>,
     model: &ModelConfig,
     cost: &CostModel,
@@ -247,7 +234,6 @@ pub fn serve_cluster_on<E: InferenceEngine>(
         }
         let (mut sim, mut engine) = make_replica(r, 0);
         let outcome = run_replica(
-            core,
             &mut sim,
             &mut engine,
             &routed,
@@ -285,7 +271,6 @@ pub fn serve_cluster_on<E: InferenceEngine>(
             report.rerouted += ids.len() as u64;
             let (mut sim, mut engine) = make_replica(slot, 1);
             let outcome = run_replica(
-                core,
                 &mut sim,
                 &mut engine,
                 &ids,
@@ -308,6 +293,19 @@ pub fn serve_cluster_on<E: InferenceEngine>(
     report
 }
 
+/// Forwards to [`serve_cluster`]; `CoreSelect::Seq` is the only core. Kept
+/// for the perfbench harness until its next change drops it (ROADMAP 3(d)).
+pub fn serve_cluster_on<E: InferenceEngine>(
+    _core: CoreSelect,
+    jobs: Vec<GenerationJob>,
+    model: &ModelConfig,
+    cost: &CostModel,
+    config: ClusterConfig,
+    make_replica: impl FnMut(usize, usize) -> (Simulation, E),
+) -> ClusterReport {
+    serve_cluster(jobs, model, cost, config, make_replica)
+}
+
 /// One replica run remapped to global ids.
 struct ReplicaOutcome {
     report: ContinuousReport,
@@ -316,11 +314,9 @@ struct ReplicaOutcome {
 }
 
 /// Serves `routed` global job ids on one replica: renumbers them densely,
-/// runs [`serve_continuous_on`], and remaps every id in the report back to
+/// runs [`serve_continuous`], and remaps every id in the report back to
 /// the global space.
-#[allow(clippy::too_many_arguments)]
 fn run_replica<E: InferenceEngine>(
-    core: CoreSelect,
     sim: &mut Simulation,
     engine: &mut E,
     routed: &[u64],
@@ -337,7 +333,7 @@ fn run_replica<E: InferenceEngine>(
         .enumerate()
         .map(|(local, id)| GenerationJob { id: local as u64, ..by_id[id] })
         .collect();
-    let mut report = serve_continuous_on(core, sim, engine, local_jobs, model, cost, scheduler);
+    let mut report = serve_continuous(sim, engine, local_jobs, model, cost, scheduler);
 
     // Remap back to global ids.
     let global = |local: u64| order[local as usize];

@@ -17,12 +17,11 @@
 
 use std::collections::HashMap;
 
-use liger_gpu_sim::{CoreSelect, Driver, SimDuration, SimTime, Simulation, Wake};
+use liger_gpu_sim::{Driver, SimDuration, SimTime, Simulation, Wake};
 use liger_model::BatchShape;
 
 use crate::engine::{InferenceEngine, RunnerToken};
 use crate::request::Request;
-use crate::runner::run_core;
 
 /// One generation job: a batch of prompts decoded for a fixed number of
 /// output tokens.
@@ -274,18 +273,8 @@ pub fn serve_generations<E: InferenceEngine + ?Sized>(
     engine: &mut E,
     jobs: Vec<GenerationJob>,
 ) -> GenerationMetrics {
-    serve_generations_on(CoreSelect::from_env(), sim, engine, jobs)
-}
-
-/// [`serve_generations`] on an explicit event core.
-pub fn serve_generations_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    jobs: Vec<GenerationJob>,
-) -> GenerationMetrics {
     let mut runner = GenerationRunner::new(engine, jobs);
-    run_core(core, None, sim, &mut runner);
+    sim.run_to_completion(&mut runner);
     runner.into_metrics()
 }
 

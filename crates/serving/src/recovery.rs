@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use liger_gpu_sim::{CoreSelect, DeviceId, Driver, Simulation, Wake};
+use liger_gpu_sim::{DeviceId, Driver, Simulation, Wake};
 use liger_model::{CostModel, ModelConfig, RecoveryPolicy};
 
 use crate::admission::{AdmissionConfig, ShedRecord};
@@ -250,24 +250,8 @@ pub fn serve_with_recovery<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: RecoveryConfig,
 ) -> ServingMetrics {
-    serve_with_recovery_on(CoreSelect::from_env(), sim, engine, requests, model, cost, config)
-}
-
-/// [`serve_with_recovery`] on an explicit event core. A parallel core gets
-/// its lookahead derived from the host launch overhead and the cost model's
-/// interconnect latency ([`core_lookahead`](crate::runner::core_lookahead)).
-pub fn serve_with_recovery_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    requests: Vec<Request>,
-    model: &ModelConfig,
-    cost: &CostModel,
-    config: RecoveryConfig,
-) -> ServingMetrics {
-    let lookahead = crate::runner::core_lookahead(sim, cost);
     let mut runner = RecoveryRunner::new(engine, requests, model, cost, config);
-    crate::runner::run_core(core, Some(lookahead), sim, &mut runner);
+    sim.run_to_completion(&mut runner);
     runner.into_metrics()
 }
 

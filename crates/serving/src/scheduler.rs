@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use liger_gpu_sim::{CoreSelect, DeviceId, Driver, SimDuration, SimTime, Simulation, Wake};
+use liger_gpu_sim::{DeviceId, Driver, SimDuration, SimTime, Simulation, Wake};
 use liger_kvcache::{BlockPool, BlockPoolConfig, PrefixAdmit};
 use liger_model::{kv_recovery_plan, spec_draft_time, CostModel, ModelConfig, RecoveryPolicy};
 
@@ -907,25 +907,9 @@ pub fn serve_continuous<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: SchedulerConfig,
 ) -> ContinuousReport {
-    serve_continuous_on(CoreSelect::from_env(), sim, engine, jobs, model, cost, config)
-}
-
-/// [`serve_continuous`] on an explicit event core. A parallel core gets its
-/// lookahead derived from the host launch overhead and the cost model's
-/// interconnect latency ([`core_lookahead`](crate::runner::core_lookahead)).
-pub fn serve_continuous_on<E: InferenceEngine + ?Sized>(
-    core: CoreSelect,
-    sim: &mut Simulation,
-    engine: &mut E,
-    jobs: Vec<GenerationJob>,
-    model: &ModelConfig,
-    cost: &CostModel,
-    config: SchedulerConfig,
-) -> ContinuousReport {
-    let lookahead = crate::runner::core_lookahead(sim, cost);
     let devices = sim.alive_devices();
     let mut scheduler = ContinuousScheduler::new(engine, jobs, model, cost, config, devices);
-    crate::runner::run_core(core, Some(lookahead), sim, &mut scheduler);
+    sim.run_to_completion(&mut scheduler);
     scheduler.into_report()
 }
 

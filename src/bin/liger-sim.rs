@@ -101,31 +101,38 @@ fn parse() -> Args {
             usage()
         }
     };
-    let parse_num = |name: &str, default: f64| -> f64 {
-        arg(name)
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --{name}");
-                    usage()
-                })
-            })
-            .unwrap_or(default)
-    };
+    let rate: f64 = parse_num("rate").unwrap_or(20.0);
+    if !(rate.is_finite() && rate > 0.0) {
+        eprintln!("--rate must be a positive, finite number of requests per second");
+        usage()
+    }
     Args {
         model,
         node,
         engines,
-        world: (parse_num("world", 4.0) as usize).max(1),
-        rate: parse_num("rate", 20.0),
-        requests: parse_num("requests", 500.0) as usize,
-        batch: parse_num("batch", 2.0) as u32,
+        world: parse_num("world").unwrap_or(4usize).max(1),
+        rate,
+        requests: parse_num("requests").unwrap_or(500),
+        batch: parse_num("batch").unwrap_or(2),
         decode: flag("decode"),
-        division: parse_num("division", 8.0) as u32,
-        slots: parse_num("slots", 4.0) as usize,
+        division: parse_num("division").unwrap_or(8),
+        slots: parse_num("slots").unwrap_or(4),
         adaptive: flag("adaptive"),
-        seed: parse_num("seed", 42.0) as u64,
-        slo_ms: arg("slo").map(|v| v.parse().unwrap_or_else(|_| usage())),
+        seed: parse_num("seed").unwrap_or(42),
+        slo_ms: parse_num("slo"),
     }
+}
+
+/// Parses `--name`'s value as a `T`; exits with the usage text when it does
+/// not parse. Integer flags parse as integers, so a seed above 2^53 keeps
+/// every bit and `--requests 2.5` is an error rather than a truncation.
+fn parse_num<T: std::str::FromStr>(name: &str) -> Option<T> {
+    arg(name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("invalid --{name} {v:?}");
+            usage()
+        })
+    })
 }
 
 fn main() {

@@ -206,7 +206,7 @@ fn disagg_run(degrade: f64) -> String {
     let topology = ClusterTopology::v100_cluster(2, 2);
     let sched = SchedulerConfig::sized_for(&model(), 2, DeviceSpec::v100_16gb().mem_capacity);
     let config = DisaggConfig::new(topology, sched).with_nic_degrade(degrade);
-    let r = serve_disaggregated(cluster_jobs(12, 30), &model(), &cost(), config, |_, devices| {
+    let r = serve_disaggregated(cluster_jobs(12, 30), &model(), config, |_, devices| {
         (sim(devices.len(), FaultSpec::none()), engine(devices.len()))
     });
     let mut s = fingerprint(&r.traces, &r.serving);
