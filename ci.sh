@@ -39,6 +39,26 @@ cargo test -q --workspace
 echo "==> behaviour lock"
 cargo test -q --test behaviour_lock
 
+# Simulator footprint gate (DESIGN.md §13): heap allocations per launched
+# kernel and bytes retained per request while serving OPT-30B Liger. Its
+# own test binary, because it installs a counting global allocator.
+echo "==> simulator footprint gate"
+cargo test -q --test sim_footprint
+
+# The benchmark (BENCHMARK.json) is a workspace of its own, so nothing
+# above compiles it: unit-test it, then run each workload for a second
+# and fail unless its last line reports no failed check.
+echo "==> perfbench (unit tests, 1 s run per workload)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in paper_prefill prefix_cluster; do
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"failed":0'*) echo "    $workload: no failed checks" ;;
+        *) echo "perfbench $workload failed: $last" >&2; exit 1 ;;
+    esac
+done
+
 # Fault-injection and property suites: once with the pinned seed the suite
 # is known-green on (reproducible gate), once unpinned (testkit derives a
 # fresh seed per process, widening coverage over time). A failure prints

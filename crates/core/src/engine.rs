@@ -260,10 +260,9 @@ impl LigerEngine {
         self.processing.retain(|v| !v.is_empty());
         while self.processing.len() < self.config.processing_slots {
             let Some(v) = self.waiting.pop_front() else { break };
-            let devices = self.devices.clone();
             self.memory.batch_submitted(
                 sim,
-                &devices,
+                &self.devices,
                 v.batch_id,
                 batch_working_set_bytes(&self.cfg, v.shape, self.devices.len() as u32),
             );
@@ -292,7 +291,7 @@ impl LigerEngine {
                 self.launch_round(sim, &plan, false);
                 // Block every host on both streams having drained.
                 let mut remaining = 0;
-                for &d in &self.devices.clone() {
+                for &d in &self.devices {
                     for stream in [PRIMARY_STREAM, SECONDARY_STREAM] {
                         let ev = sim.record_event(HostId(d.0), StreamId::new(d, stream));
                         sim.host_sync(HostId(d.0), ev, control_token(KIND_E1, self.round));
@@ -356,7 +355,6 @@ impl LigerEngine {
         round: u64,
         hybrid_events: bool,
     ) -> u32 {
-        let devices = self.devices.clone();
         let mut completions = 0;
 
         // Cross-stream dependency: if the primary batch previously ran in a
@@ -365,7 +363,7 @@ impl LigerEngine {
             if let Some(v) = self.find_batch(primary_item.batch) {
                 if v.1 == Some(SECONDARY_STREAM) {
                     if let Some(deps) = v.2 {
-                        for (i, &d) in devices.iter().enumerate() {
+                        for (i, &d) in self.devices.iter().enumerate() {
                             sim.stream_wait(HostId(d.0), StreamId::new(d, PRIMARY_STREAM), deps[i]);
                         }
                     }
@@ -378,9 +376,9 @@ impl LigerEngine {
             // E1 sits immediately before the kernel whose successor switches
             // type (the run's last kernel).
             if hybrid_events && idx == n - 1 {
-                let e1 = sim
-                    .record_event(HostId(devices[0].0), StreamId::new(devices[0], PRIMARY_STREAM));
-                sim.notify_on_event(e1, HostId(devices[0].0), control_token(KIND_E1, round));
+                let d0 = self.devices[0];
+                let e1 = sim.record_event(HostId(d0.0), StreamId::new(d0, PRIMARY_STREAM));
+                sim.notify_on_event(e1, HostId(d0.0), control_token(KIND_E1, round));
             }
             self.launch_item(sim, item, PRIMARY_STREAM);
             if item.completes_batch {
@@ -393,14 +391,16 @@ impl LigerEngine {
         // secondary stream waits on it. Hybrid mode uses it as the
         // CPU-free inter-stream gate; the other modes still chain rounds on
         // it so they cannot slide over each other.
-        let e2: Vec<EventId> = devices
+        let e2: Vec<EventId> = self
+            .devices
             .iter()
             .map(|&d| sim.record_event(HostId(d.0), StreamId::new(d, PRIMARY_STREAM)))
             .collect();
         if self.config.adaptive_factor && !plan.secondary.is_empty() {
             // Observe the primary window's end for factor adaptation
             // (rounds without a secondary subset have nothing to compare).
-            sim.notify_on_event(e2[0], HostId(devices[0].0), control_token(KIND_PRI_END, round));
+            let d0 = self.devices[0];
+            sim.notify_on_event(e2[0], HostId(d0.0), control_token(KIND_PRI_END, round));
             self.observations.entry(round).or_default().window_ns = plan.window.as_nanos();
         }
         self.prev_e2 = Some(e2);
@@ -426,9 +426,8 @@ impl LigerEngine {
         if plan.secondary.is_empty() {
             return 0;
         }
-        let devices = self.devices.clone();
         if let Some(prev) = gate {
-            for (i, &d) in devices.iter().enumerate() {
+            for (i, &d) in self.devices.iter().enumerate() {
                 sim.stream_wait(HostId(d.0), StreamId::new(d, SECONDARY_STREAM), prev[i]);
             }
         }
@@ -443,13 +442,15 @@ impl LigerEngine {
         // One dependency event per device covers every secondary batch of
         // this round: if any of them is promoted to primary later, its
         // stream-0 run waits on these.
-        let deps: Vec<EventId> = devices
+        let deps: Vec<EventId> = self
+            .devices
             .iter()
             .map(|&d| sim.record_event(HostId(d.0), StreamId::new(d, SECONDARY_STREAM)))
             .collect();
         if self.config.adaptive_factor {
             let round = self.round.saturating_sub(1);
-            sim.notify_on_event(deps[0], HostId(devices[0].0), control_token(KIND_SEC_END, round));
+            let d0 = self.devices[0];
+            sim.notify_on_event(deps[0], HostId(d0.0), control_token(KIND_SEC_END, round));
         }
         for item in &plan.secondary {
             if let Some(v) = self.processing.iter_mut().find(|v| v.batch_id == item.batch) {
@@ -478,8 +479,7 @@ impl LigerEngine {
                 if devices.len() < 2 {
                     return; // degenerate single-device deployment
                 }
-                let specs = comm_specs(sim, &item.op, devices, &self.nccl, item.batch);
-                for (d, spec) in specs {
+                for (d, spec) in comm_specs(sim, &item.op, devices, &self.nccl, item.batch) {
                     sim.launch(HostId(d.0), StreamId::new(d, stream), spec);
                 }
             }
@@ -517,8 +517,7 @@ impl InferenceEngine for LigerEngine {
 
     fn submit(&mut self, request: Request, sim: &mut Simulation) {
         let world = self.world() as u32;
-        let devices = self.devices.clone();
-        self.memory.ensure_weights(sim, &devices, self.cfg.weight_bytes() / world as u64);
+        self.memory.ensure_weights(sim, &self.devices, self.cfg.weight_bytes() / world as u64);
         let v = FuncVec::assemble(
             request.id,
             request.shape,

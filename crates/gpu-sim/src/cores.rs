@@ -299,7 +299,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
                     }
                     // Queues already parked on this event resume from the
                     // op after their blocking wait (the head).
-                    for &(wd, wq) in sim.event_queue_waiters(ev.0) {
+                    for (wd, wq) in sim.event_queue_waiters(ev.0) {
                         frontier.push((wd, wq, 1));
                     }
                     // Queues that will reach a wait on it later resume
@@ -325,8 +325,7 @@ fn static_footprint(sim: &Simulation, d: usize, pending: &Pending) -> DispatchFo
                     fp.streams.insert((dev, qop.stream));
                     if let Some(cid) = spec.collective {
                         fp.events.insert(COLL_FOOTPRINT_BIT | cid.0);
-                        let (members, _) = sim.collective_members(cid.0 as usize);
-                        for &(md, mq) in members {
+                        for &(md, mq) in sim.collective_members(cid.0 as usize) {
                             frontier.push((md, mq, 1));
                         }
                         for (od, odev) in sim.devices.iter().enumerate() {

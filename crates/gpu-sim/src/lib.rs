@@ -55,6 +55,7 @@
 pub mod contention;
 pub mod cores;
 pub mod device;
+mod event_table;
 pub mod faults;
 pub mod host;
 pub mod ids;

@@ -37,6 +37,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::device::DeviceSpec;
+use crate::event_table::{EventTable, Waiter};
 use crate::faults::FaultSpec;
 use crate::host::HostSpec;
 use crate::ids::{CollectiveId, DeviceId, EventId, HostId, KernelId, StreamId, TimerId};
@@ -137,7 +138,7 @@ pub trait Driver {
 /// An operation queued on a device hardware queue.
 #[derive(Debug, Clone)]
 pub(crate) enum StreamOp {
-    Kernel(Box<KernelSpec>, KernelId),
+    Kernel(KernelSpec, KernelId),
     Record(EventId),
     Wait(EventId),
 }
@@ -496,17 +497,6 @@ pub(crate) struct HostRt {
     state: HostState,
 }
 
-#[derive(Debug, Default, Clone)]
-struct EventRt {
-    fired_at: Option<SimTime>,
-    /// Hardware queues blocked on this event: (device, queue).
-    queue_waiters: Vec<(usize, usize)>,
-    /// Hosts parked on this event.
-    host_waiters: Vec<usize>,
-    /// Driver callbacks: (token, latency-reference host).
-    callbacks: Vec<(u64, usize)>,
-}
-
 /// A scheduled simulation event. Which lane it dispatches on is fixed by
 /// [`Pending::device_lane`]: device-local physics (kernel completions, comm
 /// dispatch-lag expiries) ride the owning device's lane; everything that can
@@ -802,8 +792,10 @@ impl SimulationBuilder {
             device_lanes,
             devices,
             hosts,
-            events: Vec::new(),
+            events: EventTable::default(),
             collectives: Vec::new(),
+            open_colls: Vec::new(),
+            spare_members: Vec::new(),
             streams_per_device: streams,
             next_kernel: 0,
             next_timer: 0,
@@ -854,8 +846,16 @@ pub struct Simulation {
     pub(crate) device_lanes: Vec<EventLane<Pending>>,
     pub(crate) devices: Vec<DeviceRt>,
     pub(crate) hosts: Vec<HostRt>,
-    events: Vec<EventRt>,
+    events: EventTable,
     pub(crate) collectives: Vec<CollectiveRt>,
+    /// Collectives holding gathered members: gathering with at least one
+    /// arrival, or running. Unordered; device loss, the terminal report
+    /// and fault boundaries visit these instead of every collective ever
+    /// created.
+    open_colls: Vec<usize>,
+    /// Emptied member lists of finished collectives, reused by later ones
+    /// so that gathering allocates nothing in steady state.
+    spare_members: Vec<Vec<(usize, usize)>>,
     streams_per_device: usize,
     next_kernel: u64,
     next_timer: u64,
@@ -988,7 +988,7 @@ impl Simulation {
 
     /// When `ev` has fired, its GPU-side trigger time.
     pub fn event_fired(&self, ev: EventId) -> Option<SimTime> {
-        self.events[ev.0 as usize].fired_at
+        self.events.fired_at(ev)
     }
 
     /// Requests the event loop to stop after the current wake drains.
@@ -1068,9 +1068,7 @@ impl Simulation {
 
     /// Allocates a fresh CUDA-like event (not yet recorded anywhere).
     pub fn new_event(&mut self) -> EventId {
-        let id = EventId(self.events.len() as u64);
-        self.events.push(EventRt::default());
-        id
+        self.events.create()
     }
 
     /// Allocates a collective rendezvous group expecting `size` member
@@ -1080,7 +1078,7 @@ impl Simulation {
         let id = CollectiveId(self.collectives.len() as u64);
         self.collectives.push(CollectiveRt {
             size,
-            members: Vec::with_capacity(size),
+            members: Vec::new(),
             work: 0.0,
             remaining: 0.0,
             rate: 1.0,
@@ -1103,18 +1101,17 @@ impl Simulation {
             stream.index
         );
         if let Some(cid) = spec.collective {
-            let coll = &self.collectives[cid.0 as usize];
             assert!(
-                coll.members.len() < coll.size || coll.state == CollState::Gathering,
+                matches!(
+                    self.collectives[cid.0 as usize].state,
+                    CollState::Gathering | CollState::Aborted
+                ),
                 "collective {cid} already complete"
             );
         }
         let id = KernelId(self.next_kernel);
         self.next_kernel += 1;
-        self.host_push(
-            host.0,
-            HostOp::Enqueue { stream, op: StreamOp::Kernel(Box::new(spec), id) },
-        );
+        self.host_push(host.0, HostOp::Enqueue { stream, op: StreamOp::Kernel(spec, id) });
         id
     }
 
@@ -1158,8 +1155,7 @@ impl Simulation {
     /// is woken with [`Wake::EventFired`] after host `latency_host`'s sync
     /// latency (modelling the driver thread observing the completion).
     pub fn notify_on_event(&mut self, ev: EventId, latency_host: HostId, token: u64) {
-        let e = &mut self.events[ev.0 as usize];
-        if let Some(fired_at) = e.fired_at {
+        if let Some(fired_at) = self.events.fired_at(ev) {
             let latency = self.hosts[latency_host.0].spec.sync_latency;
             let at = self.now.max(fired_at) + latency;
             self.push(
@@ -1167,7 +1163,7 @@ impl Simulation {
                 Pending::DriverWake { wake: Wake::EventFired { event: ev, token, fired_at } },
             );
         } else {
-            e.callbacks.push((token, latency_host.0));
+            self.events.park(ev, Waiter::Callback(token, latency_host.0));
         }
     }
 
@@ -1234,7 +1230,10 @@ impl Simulation {
             // kernels beginning later reprice against the schedule anyway.
             Pending::FaultBoundary => {
                 self.devices.iter().all(|dev| dev.run.iter().all(|s| !s.live))
-                    && self.collectives.iter().all(|c| c.state != CollState::Running)
+                    && self
+                        .open_colls
+                        .iter()
+                        .all(|&ci| self.collectives[ci].state != CollState::Running)
             }
             _ => false,
         }
@@ -1253,23 +1252,32 @@ impl Simulation {
         }
     }
 
-    /// A collective's gathered members and expected size (explore-core
-    /// footprints).
-    pub(crate) fn collective_members(&self, ci: usize) -> (&[(usize, usize)], usize) {
-        let c = &self.collectives[ci];
-        (&c.members, c.size)
+    /// A collective's gathered members (explore-core footprints). Empty
+    /// once the collective completed or aborted: its members are released
+    /// then, and no queued kernel can still name it.
+    pub(crate) fn collective_members(&self, ci: usize) -> &[(usize, usize)] {
+        &self.collectives[ci].members
     }
 
     /// Queues currently blocked on event `ev` (explore-core footprints).
-    pub(crate) fn event_queue_waiters(&self, ev: u64) -> &[(usize, usize)] {
-        &self.events[ev as usize].queue_waiters
+    pub(crate) fn event_queue_waiters(&self, ev: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.events.waiters(EventId(ev)).iter().filter_map(|w| match *w {
+            Waiter::Queue(d, q) => Some((d, q)),
+            _ => None,
+        })
     }
 
     /// True when a host blocking sync or a driver callback is parked on
     /// `ev`: firing it couples into host-side (global) state.
     pub(crate) fn event_has_host_interest(&self, ev: u64) -> bool {
-        let e = &self.events[ev as usize];
-        !e.host_waiters.is_empty() || !e.callbacks.is_empty()
+        self.events.waiters(EventId(ev)).iter().any(|w| !matches!(w, Waiter::Queue(..)))
+    }
+
+    /// The open collectives in index order.
+    fn open_colls_sorted(&self) -> Vec<usize> {
+        let mut open = self.open_colls.clone();
+        open.sort_unstable();
+        open
     }
 
     /// Snapshot of everything unfinished: pending events, queued ops,
@@ -1336,8 +1344,9 @@ impl Simulation {
                 }
             }
         }
-        for (ci, coll) in self.collectives.iter().enumerate() {
-            if coll.state == CollState::Gathering && !coll.members.is_empty() {
+        for ci in self.open_colls_sorted() {
+            let coll = &self.collectives[ci];
+            if coll.state == CollState::Gathering {
                 r.gathering_collectives.push((ci as u64, coll.members.len(), coll.size));
             }
         }
@@ -1422,7 +1431,7 @@ impl Simulation {
         // Abort collectives (gathering or running) with a member on `d`.
         // Collectives whose dead-device member has not arrived yet abort
         // when that member's launch reaches the dead device.
-        for ci in 0..self.collectives.len() {
+        for ci in self.open_colls_sorted() {
             let doomed =
                 matches!(self.collectives[ci].state, CollState::Gathering | CollState::Running)
                     && self.collectives[ci].members.iter().any(|&(md, _)| md == d);
@@ -1511,7 +1520,7 @@ impl Simulation {
         let was_running = self.collectives[ci].state == CollState::Running;
         let started_at = if was_running { self.collectives[ci].started_at } else { self.now };
         self.collectives[ci].state = CollState::Aborted;
-        let members = std::mem::take(&mut self.collectives[ci].members);
+        let members = self.release_members(ci);
         if was_running {
             for &(md, _) in &members {
                 self.settle_device(md);
@@ -1541,6 +1550,7 @@ impl Simulation {
                 self.poll_queue(md, q);
             }
         }
+        self.recycle_members(members);
     }
 
     // -- host machinery --------------------------------------------------------
@@ -1574,8 +1584,7 @@ impl Simulation {
                 self.push(at, Pending::HostReady { host });
             }
             HostOp::Sync { event, .. } => {
-                let ev = &self.events[event.0 as usize];
-                if ev.fired_at.is_some() {
+                if self.events.fired_at(*event).is_some() {
                     // The event already fired: no cross-GPU wake skew was
                     // involved, only the driver-call latency applies.
                     h.state = HostState::Busy;
@@ -1583,7 +1592,7 @@ impl Simulation {
                     self.push(at, Pending::HostReady { host });
                 } else {
                     h.state = HostState::Blocked;
-                    self.events[event.0 as usize].host_waiters.push(host);
+                    self.events.park(*event, Waiter::Host(host));
                 }
             }
         }
@@ -1598,9 +1607,8 @@ impl Simulation {
                 self.device_enqueue(stream, op);
             }
             HostOp::Sync { event, token } => {
-                let fired_at = self.events[event.0 as usize]
-                    .fired_at
-                    .expect("blocking sync resumed before event fired");
+                let fired_at =
+                    self.events.fired_at(event).expect("blocking sync resumed before event fired");
                 self.wakes.push_back(Wake::HostSynced {
                     host: HostId(host),
                     event,
@@ -1727,7 +1735,7 @@ impl Simulation {
                         p.streams.insert((d, stream));
                         p.events.insert(ev.0);
                     });
-                    if self.events[ev.0 as usize].fired_at.is_some() {
+                    if self.events.fired_at(ev).is_some() {
                         self.devices[d].queues[q].pop_op();
                         if let Some(trace) = &mut self.trace {
                             trace.push_mark(TraceMark::Wait {
@@ -1739,7 +1747,7 @@ impl Simulation {
                         }
                     } else {
                         self.devices[d].queues[q].head = HeadState::WaitingEvent;
-                        self.events[ev.0 as usize].queue_waiters.push((d, q));
+                        self.events.park(ev, Waiter::Queue(d, q));
                         return;
                     }
                 }
@@ -1832,13 +1840,19 @@ impl Simulation {
                     CollState::Gathering,
                     "kernel joined a non-gathering collective {cid}"
                 );
+                if coll.members.is_empty() {
+                    // The first arrival opens the collective.
+                    coll.members = self.spare_members.pop().unwrap_or_default();
+                    self.open_colls.push(ci);
+                }
                 coll.members.push((d, q));
                 if coll.work == 0.0 {
                     coll.work = work;
                     coll.remaining = work;
                 }
+                let complete = coll.members.len() == coll.size;
                 self.devices[d].queues[q].head = HeadState::WaitingPeers;
-                if self.collectives[ci].members.len() == self.collectives[ci].size {
+                if complete {
                     self.start_collective(ci, class, blocks);
                 }
             }
@@ -1846,31 +1860,52 @@ impl Simulation {
     }
 
     fn start_collective(&mut self, ci: usize, class: KernelClass, blocks: u32) {
-        let members: Vec<(usize, usize)> = self.collectives[ci].members.clone();
-        self.probe_mark(|p| {
-            for &(d, _) in &members {
-                p.devices.insert(d);
-            }
-        });
+        // Settling and starting read no collective's members, so they are
+        // lent out for the walk; repricing reads them, so they are back by
+        // then.
+        let members = std::mem::take(&mut self.collectives[ci].members);
+        if let Some(p) = self.probe.as_mut() {
+            p.devices.extend(members.iter().map(|&(d, _)| d));
+        }
         for &(d, _q) in &members {
             self.settle_device(d);
         }
+        let now = self.now;
         for &(d, q) in &members {
             self.devices[d].queues[q].head = HeadState::Running { slot: usize::MAX };
             self.devices[d].active_colls.push(ci);
-            let now = self.now;
             self.devices[d].apply_class_delta(now, class, blocks, 1);
         }
         let coll = &mut self.collectives[ci];
+        coll.members = members;
         coll.state = CollState::Running;
-        coll.settled_at = self.now;
-        coll.started_at = self.now;
+        coll.settled_at = now;
+        coll.started_at = now;
         coll.gen += 1;
-        for &(d, _) in &members {
+        for i in 0..self.collectives[ci].size {
+            let d = self.collectives[ci].members[i].0;
             self.reprice_device(d);
         }
         // reprice_device re-prices collectives touching each device, which
         // includes this one; nothing more to do.
+    }
+
+    /// Takes a completing or aborting collective's members out of it and
+    /// drops it from the open list: a finished collective keeps no member
+    /// list.
+    fn release_members(&mut self, ci: usize) -> Vec<(usize, usize)> {
+        if let Some(i) = self.open_colls.iter().position(|&c| c == ci) {
+            self.open_colls.swap_remove(i);
+        }
+        std::mem::take(&mut self.collectives[ci].members)
+    }
+
+    /// Keeps a released member list for the next collective to gather.
+    fn recycle_members(&mut self, mut members: Vec<(usize, usize)>) {
+        if members.capacity() > 0 {
+            members.clear();
+            self.spare_members.push(members);
+        }
     }
 
     /// Charges elapsed progress (at current rates) to every plain kernel on
@@ -1904,34 +1939,34 @@ impl Simulation {
         let fault_factor = self.faults.device_factor(DeviceId(d), now);
         self.devices[d].reprice_plain(d, now, fault_factor, &mut self.device_lanes[d]);
         // Collectives: rate = min over member devices of local comm rate.
-        let mut coll_updates: Vec<(usize, f64)> = Vec::new();
-        for &ci in &self.devices[d].active_colls {
+        // A collective's rate reads only device state, never another
+        // collective's, so each one is repriced as soon as it is computed.
+        for i in 0..self.devices[d].active_colls.len() {
+            let ci = self.devices[d].active_colls[i];
             let coll = &self.collectives[ci];
-            if coll.state == CollState::Running {
-                let mut rate = f64::INFINITY;
-                for &(md, _) in &coll.members {
-                    let dev = &self.devices[md];
-                    let r = 1.0
-                        / dev.slowdown(KernelClass::Comm)
-                        / self.faults.device_factor(DeviceId(md), now);
-                    rate = rate.min(r);
-                }
-                // Fault hook: a degraded/partitioned link between any pair of
-                // members stretches the whole rendezvous.
-                let link = self
-                    .faults
-                    .collective_link_factor(coll.members.iter().map(|(md, _)| DeviceId(*md)), now);
-                coll_updates.push((ci, rate / link));
+            if coll.state != CollState::Running {
+                continue;
             }
-        }
-        for (ci, rate) in coll_updates {
+            let mut rate = f64::INFINITY;
+            for &(md, _) in &coll.members {
+                let dev = &self.devices[md];
+                let r = 1.0
+                    / dev.slowdown(KernelClass::Comm)
+                    / self.faults.device_factor(DeviceId(md), now);
+                rate = rate.min(r);
+            }
+            // Fault hook: a degraded/partitioned link between any pair of
+            // members stretches the whole rendezvous.
+            let link = self
+                .faults
+                .collective_link_factor(coll.members.iter().map(|(md, _)| DeviceId(*md)), now);
             // Settle on the collective's own clock before changing its rate:
             // settle_device(d) already settled it if it touches d (it does).
             let coll = &mut self.collectives[ci];
-            coll.rate = rate;
+            coll.rate = rate / link;
             coll.gen += 1;
             let gen = coll.gen;
-            let dur = (coll.remaining / rate).ceil() as u64;
+            let dur = (coll.remaining / coll.rate).ceil() as u64;
             self.push(
                 now + SimDuration::from_nanos(dur),
                 Pending::CollectiveDone { coll: ci, gen },
@@ -1972,7 +2007,7 @@ impl Simulation {
                 return; // stale
             }
         }
-        let members = self.collectives[ci].members.clone();
+        let members = self.release_members(ci);
         let started_at = self.collectives[ci].started_at;
         for &(d, _) in &members {
             self.settle_device(d);
@@ -1999,6 +2034,7 @@ impl Simulation {
         for &(d, q) in &members {
             self.poll_queue(d, q);
         }
+        self.recycle_members(members);
     }
 
     /// Pops the completed kernel off its queue, records trace/stat entries.
@@ -2039,22 +2075,26 @@ impl Simulation {
         }
     }
 
+    /// Fires `ev` (idempotent) and wakes what was parked on it: blocked
+    /// queues first, then blocked hosts, then driver callbacks, each in
+    /// parking order.
     fn trigger_event(&mut self, ev: EventId) {
         let now = self.now;
-        let e = &mut self.events[ev.0 as usize];
-        if e.fired_at.is_some() {
+        if self.events.fired_at(ev).is_some() {
             return; // idempotent
         }
-        e.fired_at = Some(now);
-        let queue_waiters = std::mem::take(&mut e.queue_waiters);
-        let host_waiters = std::mem::take(&mut e.host_waiters);
-        let callbacks = std::mem::take(&mut e.callbacks);
-        let host_coupled = !host_waiters.is_empty() || !callbacks.is_empty();
+        let host_coupled = self.event_has_host_interest(ev.0);
         self.probe_mark(|p| {
             p.events.insert(ev.0);
             p.global |= host_coupled;
         });
-        for (d, q) in queue_waiters {
+        let Some(slot) = self.events.fire(ev, now) else { return };
+        // The slot stays reserved until `release`, and nothing parks on a
+        // fired event, so indexing into it across the re-entrant wakes
+        // below is stable.
+        let parked = self.events.parked_len(slot);
+        for i in 0..parked {
+            let Waiter::Queue(d, q) = self.events.parked(slot, i) else { continue };
             if self.devices[d].queues[q].head == HeadState::WaitingEvent {
                 // Re-check: the head wait op must still reference this event.
                 if let Some(&QueuedOp { op: StreamOp::Wait(w), stream, .. }) =
@@ -2080,7 +2120,8 @@ impl Simulation {
                 }
             }
         }
-        for h in host_waiters {
+        for i in 0..parked {
+            let Waiter::Host(h) = self.events.parked(slot, i) else { continue };
             if self.hosts[h].state == HostState::Blocked {
                 let spec = &self.hosts[h].spec;
                 let at = now + spec.sync_latency + spec.wake_jitter;
@@ -2088,7 +2129,8 @@ impl Simulation {
                 self.push(at, Pending::HostReady { host: h });
             }
         }
-        for (token, lat_host) in callbacks {
+        for i in 0..parked {
+            let Waiter::Callback(token, lat_host) = self.events.parked(slot, i) else { continue };
             let latency = self.hosts[lat_host].spec.sync_latency;
             let at = now + latency;
             self.push(
@@ -2096,6 +2138,7 @@ impl Simulation {
                 Pending::DriverWake { wake: Wake::EventFired { event: ev, token, fired_at: now } },
             );
         }
+        self.events.release(slot);
     }
 }
 
@@ -2712,6 +2755,162 @@ mod tests {
         let mut d = D { ev: None };
         sim.run_to_completion(&mut d);
         assert_eq!(sim.event_fired(d.ev.unwrap()), Some(SimTime::from_micros(10)));
+    }
+
+    type WakeLog = Rc<RefCell<Vec<(Wake, SimTime)>>>;
+
+    /// Timer token on which [`logging`] drivers stop the run.
+    const PAUSE: u64 = 99;
+
+    /// A driver that submits `on_start` once (later runs of the same sim
+    /// start nothing), logs every other wake with its delivery time and
+    /// stops the run on a [`PAUSE`] timer.
+    fn logging<F: FnMut(&mut Simulation)>(
+        mut on_start: Option<F>,
+        log: &WakeLog,
+    ) -> Script<impl FnMut(&mut Simulation), impl FnMut(Wake, &mut Simulation)> {
+        let log = log.clone();
+        Script {
+            on_start: move |sim: &mut Simulation| {
+                if let Some(f) = on_start.as_mut() {
+                    f(sim);
+                }
+                on_start = None;
+            },
+            on_wake: move |w: Wake, sim: &mut Simulation| match w {
+                Wake::Timer { token: PAUSE } => sim.request_stop(),
+                w => log.borrow_mut().push((w, sim.now())),
+            },
+        }
+    }
+
+    /// Resumes a run stopped on a [`PAUSE`] timer.
+    fn resume(sim: &mut Simulation, log: &WakeLog) {
+        sim.stop = false;
+        sim.run_to_completion(&mut logging(None::<fn(&mut Simulation)>, log));
+    }
+
+    /// Stream 0 runs a 10 µs kernel and records event 0 behind it; stream 1
+    /// waits on the event before a 1 µs kernel (tag 2), host 0 blocks on it
+    /// (token 7) and a driver callback watches it (token 5). With `pause`
+    /// the run stops at 5 µs, while all three are still parked; without it
+    /// the run completes.
+    fn parked_trio(pause: bool) -> (Simulation, EventId, WakeLog) {
+        let mut sim = test_sim(1);
+        let log = WakeLog::default();
+        let mut drv = logging(
+            Some(|sim: &mut Simulation| {
+                if pause {
+                    sim.set_timer(SimTime::from_micros(5), PAUSE);
+                }
+                sim.launch(
+                    HostId(0),
+                    s(0, 0),
+                    KernelSpec::compute("a", SimDuration::from_micros(10)),
+                );
+                let ev = sim.record_event(HostId(0), s(0, 0));
+                sim.stream_wait(HostId(0), s(0, 1), ev);
+                sim.launch(
+                    HostId(0),
+                    s(0, 1),
+                    KernelSpec::compute("b", SimDuration::from_micros(1)).with_tag(2),
+                );
+                sim.host_sync(HostId(0), ev, 7);
+                sim.notify_on_event(ev, HostId(0), 5);
+            }),
+            &log,
+        );
+        sim.run_to_completion(&mut drv);
+        (sim, EventId(0), log)
+    }
+
+    #[test]
+    fn a_queue_a_host_and_a_callback_on_one_event_each_resume_once() {
+        let (mut sim, ev, log) = parked_trio(true);
+        assert_eq!(sim.now(), SimTime::from_micros(5));
+        assert_eq!(sim.event_fired(ev), None, "not fired before its record runs");
+        assert_eq!(
+            sim.events.waiters(ev),
+            &[Waiter::Callback(5, 0), Waiter::Queue(0, 1), Waiter::Host(0)],
+            "all three park on one slab slot"
+        );
+        assert!(log.borrow().is_empty());
+
+        resume(&mut sim, &log);
+        let at = SimTime::from_micros(10);
+        assert_eq!(sim.event_fired(ev), Some(at), "fired when the record ran");
+        assert!(sim.events.waiters(ev).is_empty());
+        let log = log.borrow();
+        let synced = log.iter().filter(|(w, _)| matches!(w, Wake::HostSynced { .. })).count();
+        let fired = log.iter().filter(|(w, _)| matches!(w, Wake::EventFired { .. })).count();
+        assert_eq!((synced, fired, log.len()), (1, 1, 2), "{log:?}");
+        assert!(log.iter().all(|&(w, t)| t == at
+            && matches!(w, Wake::HostSynced { token: 7, fired_at, .. }
+                         | Wake::EventFired { token: 5, fired_at, .. } if fired_at == at)));
+        let trace = sim.trace().unwrap();
+        let b = trace.events().iter().find(|e| e.tag == 2).unwrap();
+        assert_eq!(b.started_at, at, "the waiting queue resumed at the trigger");
+        let waits = trace.marks().iter().filter(|m| matches!(m, TraceMark::Wait { .. })).count();
+        assert_eq!(waits, 1, "the queue resumed once");
+    }
+
+    #[test]
+    fn waiter_slots_are_reused_after_firing() {
+        let mut sim = test_sim(1);
+        let rounds = 50;
+        sim.run_to_completion(&mut script(|sim: &mut Simulation| {
+            for _ in 0..rounds {
+                sim.launch(
+                    HostId(0),
+                    s(0, 0),
+                    KernelSpec::compute("a", SimDuration::from_micros(10)),
+                );
+                let ev = sim.record_event(HostId(0), s(0, 0));
+                sim.stream_wait(HostId(0), s(0, 1), ev);
+                sim.launch(
+                    HostId(0),
+                    s(0, 1),
+                    KernelSpec::compute("b", SimDuration::from_micros(1)),
+                );
+            }
+        }));
+        let trace = sim.trace().unwrap();
+        let waits = trace.marks().iter().filter(|m| matches!(m, TraceMark::Wait { .. })).count();
+        assert_eq!(waits, rounds);
+        // Each wait reached stream 1's head before its record ran, so every
+        // event parked a waiter; one at a time, so one slot served them all.
+        assert_eq!(sim.events.slab_slots(), 1);
+        assert_eq!(sim.events.len(), rounds);
+    }
+
+    #[test]
+    fn re_triggering_a_fired_event_changes_nothing() {
+        let (mut sim, ev, log) = parked_trio(false);
+        let (fired, wakes) = (sim.event_fired(ev), log.borrow().len());
+        sim.now = SimTime::from_micros(50);
+        sim.trigger_event(ev);
+        assert_eq!(sim.event_fired(ev), fired, "the first trigger time stands");
+        assert_eq!(sim.pending_events(), 0, "no waiter is woken twice");
+        resume(&mut sim, &log);
+        assert_eq!(log.borrow().len(), wakes);
+    }
+
+    #[test]
+    fn a_clone_with_parked_waiters_replays_identically() {
+        let (mut original, _, log) = parked_trio(true);
+        let (mut straight, _, straight_log) = parked_trio(false);
+        let mut clone = original.clone();
+        let clone_log = WakeLog::default();
+        resume(&mut original, &log);
+        resume(&mut clone, &clone_log);
+        for sim in [&mut original, &mut clone, &mut straight] {
+            assert_eq!(sim.kernels_completed(), 2);
+        }
+        let json = |sim: &Simulation| sim.trace().unwrap().to_chrome_json();
+        assert_eq!(json(&clone), json(&original));
+        assert_eq!(json(&clone), json(&straight), "pausing mid-run changes nothing");
+        assert_eq!(*clone_log.borrow(), *log.borrow());
+        assert_eq!(*clone_log.borrow(), *straight_log.borrow());
     }
 
     #[test]

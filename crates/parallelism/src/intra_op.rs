@@ -69,11 +69,10 @@ impl IntraOpEngine {
 
     fn launch_batch(&mut self, request: Request, sim: &mut Simulation) {
         let world = self.world() as u32;
-        let devices = self.devices.clone();
-        self.memory.ensure_weights(sim, &devices, self.cfg.weight_bytes() / world as u64);
+        self.memory.ensure_weights(sim, &self.devices, self.cfg.weight_bytes() / world as u64);
         self.memory.batch_submitted(
             sim,
-            &devices,
+            &self.devices,
             request.id,
             batch_working_set_bytes(&self.cfg, request.shape, world),
         );

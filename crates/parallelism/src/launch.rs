@@ -11,26 +11,25 @@ pub fn compute_spec(op: &PricedOp, tag: u64) -> KernelSpec {
 }
 
 /// Builds the per-rank [`KernelSpec`]s of a priced communication op,
-/// allocating its rendezvous group.
-pub fn comm_specs(
+/// allocating its rendezvous group up front (before the first spec is
+/// drawn), so the caller can launch each spec as it comes.
+pub fn comm_specs<'a>(
     sim: &mut Simulation,
-    op: &PricedOp,
-    ranks: &[DeviceId],
+    op: &'a PricedOp,
+    ranks: &'a [DeviceId],
     nccl: &NcclConfig,
     tag: u64,
-) -> Vec<(DeviceId, KernelSpec)> {
+) -> impl Iterator<Item = (DeviceId, KernelSpec)> + 'a {
     debug_assert_eq!(op.class(), KernelClass::Comm);
     let group = sim.new_collective(ranks.len());
-    ranks
-        .iter()
-        .map(|&rank| {
-            let spec = KernelSpec::comm(op.placed.op.name(), op.duration)
-                .with_blocks(nccl.channels)
-                .with_collective(group)
-                .with_tag(tag);
-            (rank, spec)
-        })
-        .collect()
+    let channels = nccl.channels;
+    ranks.iter().map(move |&rank| {
+        let spec = KernelSpec::comm(op.placed.op.name(), op.duration)
+            .with_blocks(channels)
+            .with_collective(group)
+            .with_tag(tag);
+        (rank, spec)
+    })
 }
 
 /// Launches a tensor-parallel-symmetric op list across `devices`: every
@@ -142,7 +141,8 @@ mod tests {
             .unwrap();
         let op = priced(LayerOp::AllReduce { bytes: 1024, ranks: 3 }, 20);
         let devices: Vec<DeviceId> = (0..3).map(DeviceId).collect();
-        let specs = comm_specs(&mut sim, &op, &devices, &NcclConfig::liger_tuned(), 1);
+        let specs: Vec<_> =
+            comm_specs(&mut sim, &op, &devices, &NcclConfig::liger_tuned(), 1).collect();
         assert_eq!(specs.len(), 3);
         let group = specs[0].1.collective.unwrap();
         for (_, s) in &specs {
