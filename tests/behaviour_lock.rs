@@ -20,7 +20,7 @@
 
 use liger::prelude::*;
 use liger::serving::{
-    serve_cluster, serve_continuous, serve_disaggregated, serve_generations, serve_queries,
+    serve, serve_cluster, serve_continuous, serve_disaggregated, serve_generations, serve_queries,
     serve_with_policy, serve_with_recovery, BatcherConfig, ClusterConfig, ContinuousReport,
     DisaggConfig, GenerationJob, GenerationMetrics, PrefixTag, Query, RetryPolicy, RouterPolicy,
     SpecDecodeConfig,
@@ -233,6 +233,13 @@ fn prefill_trace(count: usize, rate: f64) -> Vec<Request> {
     .generate()
 }
 
+fn plain_run() -> String {
+    let mut sim = sim(4, FaultSpec::none());
+    let mut e = engine(4);
+    let m = serve(&mut sim, &mut e, prefill_trace(24, 4000.0));
+    fingerprint(&[sim.take_trace().expect("trace capture was enabled")], &m)
+}
+
 fn policy_run() -> String {
     let f = FaultSpec::new(7).kernel_failures(KernelFaultParams {
         prob: 0.3,
@@ -318,6 +325,7 @@ fn matrix() -> Vec<(String, String)> {
     push("disagg/nic-healthy", disagg_run(1.0));
     push("disagg/nic-degraded", disagg_run(4.0));
 
+    push("serve/plain", plain_run());
     push("policy/kernel-failures", policy_run());
     push("batcher/queries", queries_run());
     push("generations/static", generations_run());
