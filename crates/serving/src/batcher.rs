@@ -240,7 +240,7 @@ struct InFlightBatch {
 /// With a requeue budget (see [`serve_queries_with_retry`]), a batch whose
 /// kernels were killed by the fault schedule is resubmitted whole once the
 /// tainted attempt drains, up to `requeue_limit` times per batch.
-pub struct QueryRunner<'a, E: InferenceEngine + ?Sized> {
+pub(crate) struct QueryRunner<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     batcher: Batcher,
     queries: Vec<Query>,
@@ -252,44 +252,7 @@ pub struct QueryRunner<'a, E: InferenceEngine + ?Sized> {
     requeue_limit: u32,
 }
 
-impl<'a, E: InferenceEngine + ?Sized> QueryRunner<'a, E> {
-    /// Creates a runner over `queries` (ids must be dense indices).
-    pub fn new(
-        engine: &'a mut E,
-        config: BatcherConfig,
-        queries: Vec<Query>,
-    ) -> Result<Self, String> {
-        let outstanding = queries.len();
-        Ok(QueryRunner {
-            engine,
-            batcher: Batcher::new(config)?,
-            queries,
-            in_flight: HashMap::new(),
-            metrics: ServingMetrics::new(),
-            outstanding,
-            flush_gen: 0,
-            requeue_limit: 0,
-        })
-    }
-
-    /// [`Self::new`] with up to `requeue_limit` resubmissions per batch on
-    /// kernel failure.
-    pub fn with_retry(
-        engine: &'a mut E,
-        config: BatcherConfig,
-        queries: Vec<Query>,
-        requeue_limit: u32,
-    ) -> Result<Self, String> {
-        let mut runner = QueryRunner::new(engine, config, queries)?;
-        runner.requeue_limit = requeue_limit;
-        Ok(runner)
-    }
-
-    /// Finished metrics (query-level).
-    pub fn into_metrics(self) -> ServingMetrics {
-        self.metrics
-    }
-
+impl<E: InferenceEngine + ?Sized> QueryRunner<'_, E> {
     fn dispatch(&mut self, batch: PackedBatch, sim: &mut Simulation) {
         // The batch is padded to its longest member: account the waste the
         // per-batch `Batcher::padding_waste` math computes, instead of
@@ -402,9 +365,7 @@ pub fn serve_queries<E: InferenceEngine + ?Sized>(
     config: BatcherConfig,
     queries: Vec<Query>,
 ) -> ServingMetrics {
-    let mut runner = QueryRunner::new(engine, config, queries).expect("valid batcher config");
-    sim.run_to_completion(&mut runner);
-    runner.into_metrics()
+    serve_queries_with_retry(sim, engine, config, queries, 0)
 }
 
 /// [`serve_queries`] with requeue-on-kernel-failure: a batch whose kernels
@@ -417,10 +378,18 @@ pub fn serve_queries_with_retry<E: InferenceEngine + ?Sized>(
     queries: Vec<Query>,
     requeue_limit: u32,
 ) -> ServingMetrics {
-    let mut runner =
-        QueryRunner::with_retry(engine, config, queries, requeue_limit).expect("valid config");
+    let mut runner = QueryRunner {
+        engine,
+        batcher: Batcher::new(config).expect("valid batcher config"),
+        outstanding: queries.len(),
+        queries,
+        in_flight: HashMap::new(),
+        metrics: ServingMetrics::new(),
+        flush_gen: 0,
+        requeue_limit,
+    };
     sim.run_to_completion(&mut runner);
-    runner.into_metrics()
+    runner.metrics
 }
 
 #[cfg(test)]

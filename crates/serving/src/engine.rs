@@ -1,9 +1,10 @@
 //! The engine abstraction every parallelism strategy implements.
 //!
-//! An [`InferenceEngine`] runs *inside* a simulation, driven by the
-//! [`ServingRunner`](crate::runner::ServingRunner): the runner delivers
-//! arriving requests and routes simulator wakes; the engine launches kernels
-//! and reports completed requests.
+//! An [`InferenceEngine`] runs *inside* a simulation, driven by one of the
+//! serving runners (for request traces, the one behind
+//! [`serve`](crate::runner::serve)): the runner delivers arriving requests
+//! and routes simulator wakes; the engine launches kernels and reports
+//! completed requests.
 
 use liger_gpu_sim::{DeviceId, SimTime, Simulation, Wake};
 

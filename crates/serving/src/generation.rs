@@ -155,7 +155,7 @@ struct JobState {
 /// Drives a set of generation jobs through an engine: prefill at arrival,
 /// then one decode iteration per output token, each submitted when the
 /// previous completes.
-pub struct GenerationRunner<'a, E: InferenceEngine + ?Sized> {
+pub(crate) struct GenerationRunner<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     jobs: Vec<GenerationJob>,
     states: HashMap<u64, JobState>,
@@ -168,7 +168,7 @@ pub struct GenerationRunner<'a, E: InferenceEngine + ?Sized> {
 
 impl<'a, E: InferenceEngine + ?Sized> GenerationRunner<'a, E> {
     /// Creates a runner over `jobs`.
-    pub fn new(engine: &'a mut E, jobs: Vec<GenerationJob>) -> Self {
+    fn new(engine: &'a mut E, jobs: Vec<GenerationJob>) -> Self {
         let outstanding = jobs.len();
         GenerationRunner {
             engine,
@@ -182,7 +182,7 @@ impl<'a, E: InferenceEngine + ?Sized> GenerationRunner<'a, E> {
     }
 
     /// Finished metrics.
-    pub fn into_metrics(self) -> GenerationMetrics {
+    fn into_metrics(self) -> GenerationMetrics {
         self.metrics
     }
 

@@ -32,7 +32,6 @@ pub use analysis::{dg1_wait, mg1_latency, mg1_wait, service_moments, utilization
 pub use arrival::{ArrivalProcess, DecodeTraceConfig, LognormalTraceConfig, PrefillTraceConfig};
 pub use batcher::{
     serve_queries, serve_queries_with_retry, Batcher, BatcherConfig, PackedBatch, Query,
-    QueryRunner,
 };
 pub use cluster::{
     route_jobs, serve_cluster, serve_cluster_on, ClusterConfig, ClusterReport, ReplicaSlot,
@@ -40,18 +39,16 @@ pub use cluster::{
 };
 pub use disagg::{serve_disaggregated, DisaggConfig, DisaggReport};
 pub use engine::{InferenceEngine, RUNNER_TOKEN_BASE};
-pub use generation::{
-    serve_generations, GenerationJob, GenerationMetrics, GenerationResult, GenerationRunner,
-};
+pub use generation::{serve_generations, GenerationJob, GenerationMetrics, GenerationResult};
 pub use health::{HealthConfig, HealthEvents, HealthMonitor};
 pub use metrics::{
     BatchingCounters, FaultCounters, MetricsSections, PrefixCounters, RecoveryCounters,
     ServingMetrics, SpecCounters,
 };
 pub use prefix::{block_digests, output_token, prompt_token, PrefixTag, SpecDecodeConfig};
-pub use recovery::{serve_with_recovery, RecoveryConfig, RecoveryPhase, RecoveryRunner};
+pub use recovery::{serve_with_recovery, RecoveryConfig, RecoveryPhase};
 pub use request::{Completion, Request};
-pub use runner::{serve, serve_on, serve_with_policy, RetryPolicy, ServingRunner};
-pub use scheduler::{serve_continuous, ContinuousReport, ContinuousScheduler, SchedulerConfig};
+pub use runner::{serve, serve_on, serve_with_policy, RetryPolicy};
+pub use scheduler::{serve_continuous, ContinuousReport, SchedulerConfig};
 
 pub use liger_kvcache::{BlockPool, BlockPoolConfig, OutOfBlocks};

@@ -207,11 +207,6 @@ impl<'a> Membership<'a> {
         }
     }
 
-    /// Current state-machine phase.
-    pub(crate) fn phase(&self) -> RecoveryPhase {
-        self.phase
-    }
-
     /// Whether the runner is serving (not mid-replan).
     pub(crate) fn serving(&self) -> bool {
         matches!(self.phase, RecoveryPhase::Normal | RecoveryPhase::Degraded)
@@ -605,7 +600,7 @@ mod tests {
         let script = script.into_iter().map(|(t, c)| (us(t), c)).collect();
         let mut h = Harness { ctl, member: Fake::default(), script };
         sim.run_to_completion(&mut h);
-        let (phase, world) = (h.ctl.phase(), h.ctl.world().to_vec());
+        let (phase, world) = (h.ctl.phase, h.ctl.world().to_vec());
         (h.member, phase, world)
     }
 

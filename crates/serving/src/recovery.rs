@@ -1,13 +1,14 @@
 //! Elastic recovery from device loss: the drain-and-replan serving loop
 //! for static request traces.
 //!
-//! The [`RecoveryRunner`] wraps any [`InferenceEngine`] with the failure
-//! handling the paper's serving scenario needs when a GPU drops out of the
-//! node, and with re-expansion when it comes back. The state machine —
-//! watchdog detection, drain barrier, KV recovery under the configured
-//! [`RecoveryPolicy`], admission shedding and elastic re-expansion — is the
-//! shared [`membership`](crate::membership) controller; this runner only
-//! supplies what is specific to whole requests:
+//! [`serve_with_recovery`] runs the request-trace runner
+//! ([`serve`](crate::runner::serve)'s driver) with the failure handling the
+//! paper's serving scenario needs when a GPU drops out of the node, and with
+//! re-expansion when it comes back. The state machine — watchdog detection,
+//! drain barrier, KV recovery under the configured [`RecoveryPolicy`],
+//! admission shedding and elastic re-expansion — is the shared
+//! [`membership`](crate::membership) controller; the runner only supplies
+//! what is specific to whole requests:
 //!
 //! * on a loss or rejoin the engine's cancelled requests are deferred ahead
 //!   of every later arrival, and their KV is what the controller prices;
@@ -19,19 +20,17 @@
 //! detection latency, drain and replan time, replayed tokens, and every
 //! shed request.
 
-use std::collections::VecDeque;
-
-use liger_gpu_sim::{DeviceId, Driver, Simulation, Wake};
+use liger_gpu_sim::Simulation;
 use liger_model::{CostModel, ModelConfig, RecoveryPolicy};
 
-use crate::admission::{AdmissionConfig, ShedRecord};
-use crate::engine::{InferenceEngine, RunnerToken};
+use crate::admission::AdmissionConfig;
+use crate::engine::InferenceEngine;
 use crate::health::HealthConfig;
+use crate::membership::Membership;
 pub use crate::membership::RecoveryPhase;
-use crate::membership::{Member, Membership, PendingChange};
-use crate::metrics::{RecoveryCounters, ServingMetrics};
-use crate::request::{Completion, Request};
-use crate::runner::{arm_arrivals, chain_arrival};
+use crate::metrics::ServingMetrics;
+use crate::request::Request;
+use crate::runner::serve_trace;
 
 /// Parameters of the elastic-recovery pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,191 +53,6 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Serving driver with health monitoring, drain-and-replan device-loss
-/// handling, KV recovery, admission control and re-expansion. See the
-/// [`membership`](crate::membership) docs for the state machine.
-pub struct RecoveryRunner<'a, E: InferenceEngine + ?Sized> {
-    membership: Membership<'a>,
-    ledger: Ledger<'a, E>,
-}
-
-/// The runner's side of the controller: the trace, the engine and the
-/// per-request bookkeeping.
-struct Ledger<'a, E: InferenceEngine + ?Sized> {
-    engine: &'a mut E,
-    requests: Vec<Request>,
-    metrics: ServingMetrics,
-    /// Requests neither completed nor shed.
-    outstanding: usize,
-    /// Terminal (completed or shed) flags, indexed by request id.
-    done: Vec<bool>,
-    /// Arrivals deferred during a replan plus cancelled in-flight requests,
-    /// in arrival order (front = oldest).
-    deferred: VecDeque<u64>,
-    /// Cancelled in-flight ids whose KV the controller must rebuild.
-    lost: Vec<u64>,
-}
-
-impl<'a, E: InferenceEngine + ?Sized> RecoveryRunner<'a, E> {
-    /// Creates a runner over `requests` (dense ids, sorted by arrival).
-    pub fn new(
-        engine: &'a mut E,
-        requests: Vec<Request>,
-        model: &'a ModelConfig,
-        cost: &'a CostModel,
-        config: RecoveryConfig,
-    ) -> Self {
-        config.health.validate().expect("invalid health config");
-        let n = requests.len();
-        RecoveryRunner {
-            membership: Membership::new(
-                model,
-                cost,
-                config.policy,
-                config.admission,
-                Some(config.health),
-            ),
-            ledger: Ledger {
-                engine,
-                requests,
-                metrics: ServingMetrics::new(),
-                outstanding: n,
-                done: vec![false; n],
-                deferred: VecDeque::new(),
-                lost: Vec::new(),
-            },
-        }
-    }
-
-    /// The collected metrics (complete once the simulation has stopped).
-    pub fn into_metrics(mut self) -> ServingMetrics {
-        self.membership.fold_health(self.ledger.metrics.recovery_mut());
-        self.ledger.metrics
-    }
-
-    /// Current state-machine phase.
-    pub fn phase(&self) -> RecoveryPhase {
-        self.membership.phase()
-    }
-
-    /// Live view of the metrics accumulated so far (health-monitor counters
-    /// are only folded in by [`into_metrics`](Self::into_metrics)).
-    pub fn metrics(&self) -> &ServingMetrics {
-        &self.ledger.metrics
-    }
-}
-
-impl<E: InferenceEngine + ?Sized> Ledger<'_, E> {
-    /// Marks `id` terminal; false if it already was.
-    fn retire(&mut self, id: u64) -> bool {
-        let was_live = !std::mem::replace(&mut self.done[id as usize], true);
-        if was_live {
-            self.outstanding -= 1;
-        }
-        was_live
-    }
-
-    /// Records finished requests; true once nothing is outstanding.
-    fn collect(&mut self) -> bool {
-        for (id, finished) in self.engine.drain_completions() {
-            if self.retire(id) {
-                let arrival = self.requests[id as usize].arrival;
-                self.metrics.record(Completion { id, arrival, finished });
-            }
-        }
-        self.outstanding == 0
-    }
-}
-
-impl<E: InferenceEngine + ?Sized> Member for Ledger<'_, E> {
-    fn recovery(&mut self) -> &mut RecoveryCounters {
-        self.metrics.recovery_mut()
-    }
-
-    fn replan(&mut self, change: PendingChange, devices: &[DeviceId], sim: &mut Simulation) {
-        let mut cancelled = match change {
-            PendingChange::Loss(dead) => self.engine.on_device_loss(dead, devices, sim),
-            PendingChange::Rejoin(device) => self.engine.on_device_rejoin(device, devices, sim),
-        };
-        cancelled.sort_unstable();
-        cancelled.retain(|&id| !self.done[id as usize]);
-        // Cancelled in-flight requests predate every deferred arrival, so
-        // prepending (in reverse) keeps the queue in arrival order.
-        for &id in cancelled.iter().rev() {
-            self.deferred.push_front(id);
-        }
-        self.lost = cancelled;
-    }
-
-    fn kv_extents(&mut self) -> Vec<(u32, u32)> {
-        let shapes =
-            std::mem::take(&mut self.lost).into_iter().map(|id| self.requests[id as usize].shape);
-        shapes.map(|shape| (shape.batch, shape.phase.kv_len())).collect()
-    }
-
-    fn backlog(&mut self) -> &mut VecDeque<u64> {
-        &mut self.deferred
-    }
-
-    fn resume(&mut self, shed: &[ShedRecord], sim: &mut Simulation) {
-        for s in shed {
-            self.retire(s.id);
-        }
-        while let Some(id) = self.deferred.pop_front() {
-            if !self.done[id as usize] {
-                self.engine.submit(self.requests[id as usize], sim);
-            }
-        }
-    }
-
-    fn readmit(&mut self, ids: &[u64]) {
-        for &id in ids {
-            self.done[id as usize] = false;
-            self.outstanding += 1;
-            self.deferred.push_back(id);
-        }
-        // Readmitted sheds are older than deferred arrivals; restore
-        // arrival order before resubmitting.
-        let mut backlog: Vec<u64> = std::mem::take(&mut self.deferred).into();
-        backlog.sort_unstable();
-        backlog.dedup();
-        self.deferred = backlog.into();
-    }
-}
-
-impl<E: InferenceEngine + ?Sized> Driver for RecoveryRunner<'_, E> {
-    fn start(&mut self, sim: &mut Simulation) {
-        self.membership.start(sim.alive_devices(), sim);
-        if !arm_arrivals(&self.ledger.requests, sim) {
-            self.membership.stop();
-            sim.request_stop();
-        }
-    }
-
-    fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
-        let ledger = &mut self.ledger;
-        let wake = self.membership.on_wake(wake, sim, ledger);
-        match wake.map(|w| (w, RunnerToken::of(&w))) {
-            Some((Wake::Timer { .. }, Some(RunnerToken::Arrival(id)))) => {
-                let id = id as usize;
-                chain_arrival(&ledger.requests, id, sim);
-                // Mid-replan arrivals wait out the replan.
-                if self.membership.serving() {
-                    ledger.engine.submit(ledger.requests[id], sim);
-                } else {
-                    ledger.deferred.push_back(id as u64);
-                }
-            }
-            Some((other, _)) => ledger.engine.on_wake(other, sim),
-            None => {}
-        }
-        if ledger.collect() {
-            self.membership.stop();
-            sim.request_stop();
-        }
-    }
-}
-
 /// Serves `requests` with `engine` on `sim` under the elastic-recovery
 /// pipeline; `model` and `cost` price the KV-recovery work. Returns the
 /// metrics, including the recovery counters and phase timeline.
@@ -250,17 +64,18 @@ pub fn serve_with_recovery<E: InferenceEngine + ?Sized>(
     cost: &CostModel,
     config: RecoveryConfig,
 ) -> ServingMetrics {
-    let mut runner = RecoveryRunner::new(engine, requests, model, cost, config);
-    sim.run_to_completion(&mut runner);
-    runner.into_metrics()
+    config.health.validate().expect("invalid health config");
+    let membership =
+        Membership::new(model, cost, config.policy, config.admission, Some(config.health));
+    serve_trace(sim, engine, requests, None, Some(membership))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use liger_gpu_sim::{
-        DeviceSpec, EventId, FaultSpec, HostId, HostSpec, KernelSpec, SimDuration, SimTime,
-        StreamId,
+        DeviceId, DeviceSpec, EventId, FaultSpec, HostId, HostSpec, KernelSpec, SimDuration,
+        SimTime, StreamId, Wake,
     };
     use liger_model::BatchShape;
 

@@ -1,10 +1,19 @@
-//! The serving runner: feeds a request trace into an engine running on the
-//! simulator and collects metrics.
+//! The request-trace runner: feeds a trace of whole requests into an
+//! engine running on the simulator and collects metrics. One driver backs
+//! [`serve`], [`serve_with_policy`] and
+//! [`serve_with_recovery`](crate::recovery::serve_with_recovery): a
+//! [`RetryPolicy`] adds retries and timeouts, and the
+//! [`membership`](crate::membership) controller adds loss and rejoin
+//! handling.
 
-use liger_gpu_sim::{CoreSelect, Driver, SimDuration, Simulation, Wake};
+use std::collections::VecDeque;
 
+use liger_gpu_sim::{CoreSelect, DeviceId, Driver, SimDuration, Simulation, Wake};
+
+use crate::admission::ShedRecord;
 use crate::engine::{InferenceEngine, RunnerToken};
-use crate::metrics::ServingMetrics;
+use crate::membership::{Member, Membership, PendingChange};
+use crate::metrics::{RecoveryCounters, ServingMetrics};
 use crate::request::{Completion, Request};
 
 /// Degraded-mode reaction policy: per-request timeout accounting plus
@@ -49,84 +58,210 @@ impl RetryPolicy {
     }
 }
 
-/// Per-request fault-reaction state.
+/// Per-request state.
 #[derive(Debug, Clone, Copy, Default)]
 struct RequestState {
     /// Retries consumed so far.
     attempts: u32,
     /// A kernel of the current attempt failed; retry on completion.
     tainted: bool,
-    /// A completion has been recorded; late wakes are ignored.
+    /// Completed or shed; late wakes are ignored.
     done: bool,
 }
 
-/// Drives one serving experiment: arrival timers → engine submissions →
-/// completion collection → stop when the whole trace has been served.
+/// Drives one request trace: arrival timers → engine submissions →
+/// completion collection → stop once every request is completed or shed.
 ///
-/// With a [`RetryPolicy`] attached (see [`serve_with_policy`]), the runner
-/// additionally reacts to [`Wake::KernelFailed`]: the affected request is
-/// marked tainted and resubmitted with exponential backoff once its current
-/// attempt drains, and per-request timeouts are tallied into the metrics.
-pub struct ServingRunner<'a, E: InferenceEngine + ?Sized> {
+/// With a [`RetryPolicy`], a request whose kernel failed
+/// ([`Wake::KernelFailed`]) is resubmitted with exponential backoff once its
+/// tainted attempt drains, and timeouts are tallied. With a membership
+/// controller, every wake passes through the controller first and arrivals
+/// during a replan wait in the deferred queue.
+pub(crate) struct ServingRunner<'a, E: InferenceEngine + ?Sized> {
+    membership: Option<Membership<'a>>,
+    ledger: Ledger<'a, E>,
+}
+
+/// The runner's side of the controller: the trace, the engine and the
+/// per-request bookkeeping.
+struct Ledger<'a, E: InferenceEngine + ?Sized> {
     engine: &'a mut E,
     requests: Vec<Request>,
     metrics: ServingMetrics,
-    outstanding: usize,
     policy: Option<RetryPolicy>,
+    /// Indexed by request id.
     states: Vec<RequestState>,
+    /// Requests neither completed nor shed.
+    outstanding: usize,
+    /// Arrivals deferred during a replan plus cancelled in-flight requests,
+    /// in arrival order (front = oldest).
+    deferred: VecDeque<u64>,
+    /// Cancelled in-flight ids whose KV the controller must rebuild.
+    lost: Vec<u64>,
 }
 
-impl<'a, E: InferenceEngine + ?Sized> ServingRunner<'a, E> {
-    /// Creates a runner over `requests` (any order; they are indexed by id).
-    pub fn new(engine: &'a mut E, requests: Vec<Request>) -> Self {
-        let outstanding = requests.len();
-        let states = vec![RequestState::default(); requests.len()];
-        ServingRunner {
-            engine,
-            requests,
-            metrics: ServingMetrics::new(),
-            outstanding,
-            policy: None,
-            states,
+/// Serves `requests` (dense ids, sorted by arrival) with `engine` on `sim`
+/// under an optional retry policy and membership controller; returns the
+/// metrics.
+pub(crate) fn serve_trace<'a, E: InferenceEngine + ?Sized>(
+    sim: &mut Simulation,
+    engine: &'a mut E,
+    requests: Vec<Request>,
+    policy: Option<RetryPolicy>,
+    membership: Option<Membership<'a>>,
+) -> ServingMetrics {
+    let n = requests.len();
+    let ledger = Ledger {
+        engine,
+        requests,
+        metrics: ServingMetrics::new(),
+        policy,
+        states: vec![RequestState::default(); n],
+        outstanding: n,
+        deferred: VecDeque::new(),
+        lost: Vec::new(),
+    };
+    let mut runner = ServingRunner { membership, ledger };
+    sim.run_to_completion(&mut runner);
+    let ServingRunner { membership, mut ledger } = runner;
+    if let Some(m) = membership {
+        m.fold_health(ledger.metrics.recovery_mut());
+    }
+    ledger.metrics
+}
+
+impl<E: InferenceEngine + ?Sized> ServingRunner<'_, E> {
+    fn stop(&mut self, sim: &mut Simulation) {
+        if let Some(m) = &mut self.membership {
+            m.stop();
         }
+        sim.request_stop();
+    }
+}
+
+impl<E: InferenceEngine + ?Sized> Ledger<'_, E> {
+    /// Marks `id` terminal; false if it already was.
+    fn retire(&mut self, id: u64) -> bool {
+        let was_live = !std::mem::replace(&mut self.states[id as usize].done, true);
+        if was_live {
+            self.outstanding -= 1;
+        }
+        was_live
     }
 
-    /// [`Self::new`] with a degraded-mode reaction policy attached.
-    pub fn with_policy(engine: &'a mut E, requests: Vec<Request>, policy: RetryPolicy) -> Self {
-        let mut runner = ServingRunner::new(engine, requests);
-        runner.policy = Some(policy);
-        runner
-    }
-
-    /// The collected metrics (complete once the simulation has stopped).
-    pub fn into_metrics(self) -> ServingMetrics {
-        self.metrics
-    }
-
-    fn collect(&mut self, sim: &mut Simulation) {
+    /// Records finished requests, or retries a tainted attempt after backoff
+    /// while its budget lasts; true once nothing is outstanding.
+    fn collect(&mut self, sim: &mut Simulation) -> bool {
         for (id, finished) in self.engine.drain_completions() {
-            let idx = id as usize;
-            // A tainted attempt finished: resubmit after backoff instead of
-            // recording, while the retry budget lasts.
-            if let Some(policy) = self.policy {
-                let s = &mut self.states[idx];
-                if s.tainted && s.attempts < policy.max_retries {
-                    s.tainted = false;
-                    let delay = policy.delay(s.attempts);
-                    s.attempts += 1;
-                    self.metrics.faults_mut().retries += 1;
-                    sim.set_timer(sim.now() + delay, RunnerToken::Retry(id).encode());
-                    continue;
+            let s = &mut self.states[id as usize];
+            if let Some(policy) = self.policy.filter(|p| s.tainted && s.attempts < p.max_retries) {
+                s.tainted = false;
+                let delay = policy.delay(s.attempts);
+                s.attempts += 1;
+                self.metrics.faults_mut().retries += 1;
+                sim.set_timer(sim.now() + delay, RunnerToken::Retry(id).encode());
+            } else if self.retire(id) {
+                let arrival = self.requests[id as usize].arrival;
+                self.metrics.record(Completion { id, arrival, finished });
+            }
+        }
+        self.outstanding == 0
+    }
+
+    /// Handles a wake the controller (if any) passed on; `serving` is false
+    /// mid-replan.
+    fn on_wake(&mut self, wake: Wake, serving: bool, sim: &mut Simulation) {
+        match (wake, RunnerToken::of(&wake)) {
+            (Wake::Timer { .. }, Some(RunnerToken::Retry(id))) => {
+                if !self.states[id as usize].done {
+                    self.engine.submit(self.requests[id as usize], sim);
                 }
             }
-            self.states[idx].done = true;
-            let arrival = self.requests[idx].arrival;
-            self.metrics.record(Completion { id, arrival, finished });
-            self.outstanding = self.outstanding.saturating_sub(1);
+            (Wake::Timer { .. }, Some(RunnerToken::Timeout(id))) => {
+                if !self.states[id as usize].done {
+                    self.metrics.faults_mut().timeouts += 1;
+                }
+            }
+            (Wake::Timer { .. }, Some(RunnerToken::Arrival(id))) => {
+                let request = self.requests[id as usize];
+                chain_arrival(&self.requests, id as usize, sim);
+                // Mid-replan arrivals wait out the replan.
+                if serving {
+                    self.engine.submit(request, sim);
+                } else {
+                    self.deferred.push_back(id);
+                }
+                if let Some(policy) = self.policy {
+                    let deadline = request.arrival + policy.timeout;
+                    sim.set_timer(deadline, RunnerToken::Timeout(id).encode());
+                }
+            }
+            (Wake::KernelFailed { tag, .. }, _) if self.policy.is_some() => {
+                self.metrics.faults_mut().kernel_failures += 1;
+                if let Some(s) = self.states.get_mut(tag as usize) {
+                    s.tainted |= !s.done;
+                }
+                // Engines may track failures too (all current ones ignore).
+                self.engine.on_wake(wake, sim);
+            }
+            _ => self.engine.on_wake(wake, sim),
         }
-        if self.outstanding == 0 {
-            sim.request_stop();
+    }
+}
+
+impl<E: InferenceEngine + ?Sized> Member for Ledger<'_, E> {
+    fn recovery(&mut self) -> &mut RecoveryCounters {
+        self.metrics.recovery_mut()
+    }
+
+    fn replan(&mut self, change: PendingChange, devices: &[DeviceId], sim: &mut Simulation) {
+        let mut cancelled = match change {
+            PendingChange::Loss(dead) => self.engine.on_device_loss(dead, devices, sim),
+            PendingChange::Rejoin(device) => self.engine.on_device_rejoin(device, devices, sim),
+        };
+        cancelled.sort_unstable();
+        cancelled.retain(|&id| !self.states[id as usize].done);
+        // Cancelled in-flight requests predate every deferred arrival, so
+        // prepending (in reverse) keeps the queue in arrival order.
+        for &id in cancelled.iter().rev() {
+            self.deferred.push_front(id);
         }
+        self.lost = cancelled;
+    }
+
+    fn kv_extents(&mut self) -> Vec<(u32, u32)> {
+        let shapes =
+            std::mem::take(&mut self.lost).into_iter().map(|id| self.requests[id as usize].shape);
+        shapes.map(|shape| (shape.batch, shape.phase.kv_len())).collect()
+    }
+
+    fn backlog(&mut self) -> &mut VecDeque<u64> {
+        &mut self.deferred
+    }
+
+    fn resume(&mut self, shed: &[ShedRecord], sim: &mut Simulation) {
+        for s in shed {
+            self.retire(s.id);
+        }
+        while let Some(id) = self.deferred.pop_front() {
+            if !self.states[id as usize].done {
+                self.engine.submit(self.requests[id as usize], sim);
+            }
+        }
+    }
+
+    fn readmit(&mut self, ids: &[u64]) {
+        for &id in ids {
+            self.states[id as usize].done = false;
+            self.outstanding += 1;
+            self.deferred.push_back(id);
+        }
+        // Readmitted sheds are older than deferred arrivals; restore
+        // arrival order before resubmitting.
+        let mut backlog: Vec<u64> = std::mem::take(&mut self.deferred).into();
+        backlog.sort_unstable();
+        backlog.dedup();
+        self.deferred = backlog.into();
     }
 }
 
@@ -135,7 +270,7 @@ impl<'a, E: InferenceEngine + ?Sized> ServingRunner<'a, E> {
 /// ([`chain_arrival`]): only the next pending arrival has a timer in
 /// flight, so the event heap holds O(in-flight batch) timer entries instead
 /// of one per trace request up front.
-pub(crate) fn arm_arrivals(requests: &[Request], sim: &mut Simulation) -> bool {
+fn arm_arrivals(requests: &[Request], sim: &mut Simulation) -> bool {
     for (i, r) in requests.iter().enumerate() {
         debug_assert_eq!(r.id as usize, i, "request ids must be dense arrival indices");
         debug_assert!(
@@ -151,7 +286,7 @@ pub(crate) fn arm_arrivals(requests: &[Request], sim: &mut Simulation) -> bool {
 /// Request `id` arrived: arms the timer of the next arrival, if any.
 /// `set_timer` clamps past deadlines to `now`, so a burst of simultaneous
 /// arrivals still drains one per wake.
-pub(crate) fn chain_arrival(requests: &[Request], id: usize, sim: &mut Simulation) {
+fn chain_arrival(requests: &[Request], id: usize, sim: &mut Simulation) {
     if let Some(next) = requests.get(id + 1) {
         sim.set_timer(next.arrival, RunnerToken::Arrival(next.id).encode());
     }
@@ -159,48 +294,26 @@ pub(crate) fn chain_arrival(requests: &[Request], id: usize, sim: &mut Simulatio
 
 impl<E: InferenceEngine + ?Sized> Driver for ServingRunner<'_, E> {
     fn start(&mut self, sim: &mut Simulation) {
-        if !arm_arrivals(&self.requests, sim) {
-            sim.request_stop();
+        if let Some(m) = &mut self.membership {
+            m.start(sim.alive_devices(), sim);
+        }
+        if !arm_arrivals(&self.ledger.requests, sim) {
+            self.stop(sim);
         }
     }
 
     fn on_wake(&mut self, wake: Wake, sim: &mut Simulation) {
-        match (wake, RunnerToken::of(&wake)) {
-            (Wake::Timer { .. }, Some(RunnerToken::Retry(id))) => {
-                if !self.states[id as usize].done {
-                    let request = self.requests[id as usize];
-                    self.engine.submit(request, sim);
-                }
-            }
-            (Wake::Timer { .. }, Some(RunnerToken::Timeout(id))) => {
-                if !self.states[id as usize].done {
-                    self.metrics.faults_mut().timeouts += 1;
-                }
-            }
-            (Wake::Timer { .. }, Some(RunnerToken::Arrival(id))) => {
-                let request = self.requests[id as usize];
-                chain_arrival(&self.requests, id as usize, sim);
-                self.engine.submit(request, sim);
-                if let Some(policy) = self.policy {
-                    let deadline = request.arrival + policy.timeout;
-                    sim.set_timer(deadline, RunnerToken::Timeout(request.id).encode());
-                }
-            }
-            (Wake::KernelFailed { tag, .. }, _) => {
-                if self.policy.is_some() {
-                    self.metrics.faults_mut().kernel_failures += 1;
-                    if let Some(s) = self.states.get_mut(tag as usize) {
-                        if !s.done {
-                            s.tainted = true;
-                        }
-                    }
-                }
-                // Engines may track failures too (all current ones ignore).
-                self.engine.on_wake(wake, sim);
-            }
-            (other, _) => self.engine.on_wake(other, sim),
+        let wake = match &mut self.membership {
+            Some(m) => m.on_wake(wake, sim, &mut self.ledger),
+            None => Some(wake),
+        };
+        if let Some(wake) = wake {
+            let serving = self.membership.as_ref().is_none_or(Membership::serving);
+            self.ledger.on_wake(wake, serving, sim);
         }
-        self.collect(sim);
+        if self.ledger.collect(sim) {
+            self.stop(sim);
+        }
     }
 }
 
@@ -210,9 +323,7 @@ pub fn serve<E: InferenceEngine + ?Sized>(
     engine: &mut E,
     requests: Vec<Request>,
 ) -> ServingMetrics {
-    let mut runner = ServingRunner::new(engine, requests);
-    sim.run_to_completion(&mut runner);
-    runner.into_metrics()
+    serve_trace(sim, engine, requests, None, None)
 }
 
 /// Forwards to [`serve`]; `CoreSelect::Seq` is the only core. Kept for the
@@ -235,9 +346,7 @@ pub fn serve_with_policy<E: InferenceEngine + ?Sized>(
     requests: Vec<Request>,
     policy: RetryPolicy,
 ) -> ServingMetrics {
-    let mut runner = ServingRunner::with_policy(engine, requests, policy);
-    sim.run_to_completion(&mut runner);
-    runner.into_metrics()
+    serve_trace(sim, engine, requests, Some(policy), None)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use crate::engine::{InferenceEngine, RunnerToken};
 use crate::generation::serve_generations;
 use crate::generation::{arm_job_arrivals, GenerationJob, GenerationMetrics, GenerationResult};
 use crate::health::HealthConfig;
-use crate::membership::{Member, Membership, PendingChange, RecoveryPhase};
+use crate::membership::{Member, Membership, PendingChange};
 use crate::metrics::{RecoveryCounters, ServingMetrics};
 use crate::prefix::{block_digests, output_token, SpecDecodeConfig};
 use crate::request::{Completion, Request};
@@ -205,7 +205,7 @@ pub(crate) fn decode_shape(
 /// pool, composed with the [`membership`](crate::membership) controller
 /// (health watchdog, drain-and-replan recovery, admission shedding and
 /// re-expansion). See the module docs for the scheduling loop.
-pub struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
+pub(crate) struct ContinuousScheduler<'a, E: InferenceEngine + ?Sized> {
     membership: Membership<'a>,
     seqs: Sequences<'a, E>,
 }
@@ -251,7 +251,7 @@ struct Sequences<'a, E: InferenceEngine + ?Sized> {
 impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
     /// Creates a scheduler over `jobs` (dense ids, sorted by arrival),
     /// paging KV through a pool over `devices` (the live devices at start).
-    pub fn new(
+    fn new(
         engine: &'a mut E,
         jobs: Vec<GenerationJob>,
         model: &'a ModelConfig,
@@ -295,18 +295,13 @@ impl<'a, E: InferenceEngine + ?Sized> ContinuousScheduler<'a, E> {
     }
 
     /// The collected report (complete once the simulation has stopped).
-    pub fn into_report(mut self) -> ContinuousReport {
+    fn into_report(mut self) -> ContinuousReport {
         self.membership.fold_health(self.seqs.serving.recovery_mut());
         ContinuousReport {
             generation: self.seqs.generation,
             serving: self.seqs.serving,
             outputs: self.seqs.outputs,
         }
-    }
-
-    /// Current recovery phase.
-    pub fn phase(&self) -> RecoveryPhase {
-        self.membership.phase()
     }
 }
 
