@@ -44,15 +44,17 @@ impl EventCore for SequentialCore {
         driver.start(sim);
         sim.drain_wakes(driver);
         while !sim.stop {
-            let Some((at, pending)) = sim.pop_next() else { break };
-            if sim.entry_is_stale(&pending) {
+            let Some((at, rank, stale)) = sim.peek_next() else { break };
+            if at > deadline && !stale {
+                // Left pending: a later run resumes from it.
+                sim.now = deadline;
+                break;
+            }
+            let pending = sim.pop_lane(rank);
+            if stale {
                 // Superseded by a reprice: drop it without advancing time,
                 // so the returned end time is the last *real* event.
                 continue;
-            }
-            if at > deadline {
-                sim.now = deadline;
-                break;
             }
             debug_assert!(at >= sim.now, "time went backwards");
             sim.now = at;
@@ -439,13 +441,14 @@ impl EventCore for ExploreCore {
             match enabled.len() {
                 // Nothing reorderable: one canonical sequential step.
                 0 => {
-                    let Some((at, pending)) = sim.pop_next() else { break };
-                    if sim.entry_is_stale(&pending) {
-                        continue;
-                    }
-                    if at > deadline {
+                    let Some((at, rank, stale)) = sim.peek_next() else { break };
+                    if at > deadline && !stale {
                         end = end.max(deadline);
                         break;
+                    }
+                    let pending = sim.pop_lane(rank);
+                    if stale {
+                        continue;
                     }
                     sim.now = at;
                     sim.probe = Some(DispatchFootprint::default());

@@ -1171,7 +1171,8 @@ impl Simulation {
 
     /// Runs the simulation on the [`SequentialCore`] until the event lanes
     /// drain, `deadline` passes, or the driver requests a stop. Returns the
-    /// final simulated time.
+    /// final simulated time. Events due after `deadline` stay pending, so a
+    /// later `run` resumes from them.
     ///
     /// [`SequentialCore`]: crate::cores::SequentialCore
     pub fn run(&mut self, driver: &mut dyn Driver, deadline: SimTime) -> SimTime {
@@ -1179,12 +1180,13 @@ impl Simulation {
         crate::cores::SequentialCore.run(self, driver, deadline)
     }
 
-    /// Pops the canonically-next pending event across all lanes: the
-    /// smallest `(time, lane rank, lane seq)` key, with the global lane at
-    /// rank 0 and device `d` at rank `d + 1`. The sequential core dispatches
-    /// in exactly this order, and the explore core's canonical schedule
-    /// reproduces it.
-    pub(crate) fn pop_next(&mut self) -> Option<(SimTime, Pending)> {
+    /// The canonically-next pending event across all lanes, left in place:
+    /// the smallest `(time, lane rank, lane seq)` key, with the global lane
+    /// at rank 0 and device `d` at rank `d + 1`. Returns its time, its lane
+    /// rank (for [`Self::pop_lane`]) and whether a reprice has superseded
+    /// it. The sequential core dispatches in exactly this order, and the
+    /// explore core's canonical schedule reproduces it.
+    pub(crate) fn peek_next(&self) -> Option<(SimTime, usize, bool)> {
         let mut best: Option<((SimTime, usize, u64), usize)> =
             self.global_lane.peek_key().map(|(at, seq)| ((at, 0, seq), 0));
         for (d, lane) in self.device_lanes.iter().enumerate() {
@@ -1199,10 +1201,16 @@ impl Simulation {
                 }
             }
         }
-        let (_, idx) = best?;
-        let lane = if idx == 0 { &mut self.global_lane } else { &mut self.device_lanes[idx - 1] };
-        let e = lane.pop().expect("peeked lane emptied under us");
-        Some((e.at, e.payload))
+        let ((at, _, _), rank) = best?;
+        let lane = if rank == 0 { &self.global_lane } else { &self.device_lanes[rank - 1] };
+        let stale = self.entry_is_stale(lane.peek().expect("peeked lane emptied under us"));
+        Some((at, rank, stale))
+    }
+
+    /// Pops the head of the lane at `rank` (see [`Self::peek_next`]).
+    pub(crate) fn pop_lane(&mut self, rank: usize) -> Pending {
+        let lane = if rank == 0 { &mut self.global_lane } else { &mut self.device_lanes[rank - 1] };
+        lane.pop().expect("peeked lane emptied under us").payload
     }
 
     /// Total pending events across all lanes.
@@ -2662,6 +2670,19 @@ mod tests {
         let end = sim.run(&mut drv, SimTime::from_micros(50));
         assert_eq!(end, SimTime::from_micros(50));
         assert_eq!(sim.kernels_completed(), 0);
+    }
+
+    #[test]
+    fn a_deadline_leaves_the_next_event_pending_for_a_resumed_run() {
+        let mut sim = test_sim(1);
+        let mut drv = script(|sim: &mut Simulation| {
+            sim.launch(HostId(0), s(0, 0), KernelSpec::compute("c", SimDuration::from_micros(10)));
+        });
+        assert_eq!(sim.run(&mut drv, SimTime::from_micros(5)), SimTime::from_micros(5));
+        assert_eq!(sim.terminal_report().pending_events, 1, "the completion is still pending");
+        let end = sim.run_to_completion(&mut script(|_: &mut Simulation| {}));
+        assert_eq!(end, SimTime::from_micros(10));
+        assert_eq!(sim.kernels_completed(), 1);
     }
 
     #[test]
