@@ -59,6 +59,9 @@
 //!   `link_flap`, the expansion is primitive — `Display` renders the
 //!   expanded forms and the round trip holds by equality.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use crate::ids::{DeviceId, HostId};
 use crate::time::{SimDuration, SimTime};
 
@@ -66,6 +69,10 @@ use crate::time::{SimDuration, SimTime};
 /// a partitioned collective makes essentially no progress inside the
 /// window, finite so it never hangs the event loop.
 pub const PARTITION_FACTOR: f64 = 1e6;
+
+/// Most windows one `flap:`, `node-down:` or `niclink:` segment may expand
+/// to, so [`FaultSpec::parse`] does work linear in its input.
+const MAX_SEGMENT_WINDOWS: usize = 1024;
 
 /// A device straggler window: kernels on `device` run `factor`× slower
 /// during `[from, until)`.
@@ -507,21 +514,132 @@ impl FaultSpec {
     /// `nodes=4;node-down:1:40..80;niclink:0-1:10:30:8`.
     ///
     /// Errors carry the byte offset of the offending field so a bad
-    /// `--faults` flag fails with a pointer into the spec string.
+    /// `--faults` flag fails with a pointer into the spec string. Parsing
+    /// never panics: empty or overlapping windows, factors below 1 or not
+    /// finite, probabilities outside `[0, 1]` and times or node indices
+    /// that overflow are errors, and a `flap:`, `node-down:` or `niclink:`
+    /// segment may expand to at most 1024 windows.
     pub fn parse(spec: &str) -> Result<FaultSpec, ParseError> {
-        fn ms(s: &str, off: usize) -> Result<SimTime, ParseError> {
-            s.parse::<u64>()
-                .map(SimTime::from_millis)
-                .map_err(|_| ParseError::at(off, format!("a millisecond count, got {s:?}")))
-        }
         fn num<T: std::str::FromStr>(s: &str, off: usize, what: &str) -> Result<T, ParseError> {
             s.parse::<T>().map_err(|_| ParseError::at(off, format!("{what}, got {s:?}")))
+        }
+        fn scaled(s: &str, off: usize, unit_ns: u64, what: &str) -> Result<u64, ParseError> {
+            s.parse::<u64>()
+                .ok()
+                .and_then(|n| n.checked_mul(unit_ns))
+                .ok_or_else(|| ParseError::at(off, format!("{what}, got {s:?}")))
+        }
+        fn ms(s: &str, off: usize) -> Result<SimTime, ParseError> {
+            let what = "a millisecond count up to 18446744073709";
+            scaled(s, off, 1_000_000, what).map(SimTime::from_nanos)
+        }
+        /// `<from_ms>` and `<until_ms>` fields with `from < until`.
+        fn window(
+            from: (&str, usize),
+            until: (&str, usize),
+            what: &str,
+        ) -> Result<(SimTime, SimTime), ParseError> {
+            let (f, u) = (ms(from.0, from.1)?, ms(until.0, until.1)?);
+            if u <= f {
+                let got = format!("{}:{}", from.0, until.0);
+                return Err(ParseError::at(
+                    from.1,
+                    format!("a non-empty {what} window (start < end), got {got:?}"),
+                ));
+            }
+            Ok((f, u))
+        }
+        /// `<at_ms>` (permanent) or `<from_ms>..<until_ms>` (windowed).
+        fn outage((w, off): (&str, usize)) -> Result<(SimTime, Option<SimTime>), ParseError> {
+            let Some((from, until)) = w.split_once("..") else { return Ok((ms(w, off)?, None)) };
+            let (f, u) = (ms(from, off)?, ms(until, off + from.len() + 2)?);
+            if u <= f {
+                let expected = format!("a non-empty outage window (start < end), got {w:?}");
+                return Err(ParseError::at(off, expected));
+            }
+            Ok((f, Some(u)))
+        }
+        fn factor(s: &str, off: usize, what: &str) -> Result<f64, ParseError> {
+            let f = num::<f64>(s, off, what)?;
+            if f.is_finite() && f >= 1.0 {
+                Ok(f)
+            } else {
+                Err(ParseError::at(off, format!("{what} (finite, at least 1), got {s:?}")))
+            }
+        }
+        fn prob(s: &str, off: usize, what: &str) -> Result<f64, ParseError> {
+            let p = num::<f64>(s, off, what)?;
+            if (0.0..=1.0).contains(&p) {
+                Ok(p)
+            } else {
+                Err(ParseError::at(off, format!("{what} in [0, 1], got {s:?}")))
+            }
+        }
+        /// The devices of node `n` under `k` devices per node.
+        fn node_devices(n: usize, k: usize, off: usize) -> Result<Range<usize>, ParseError> {
+            let lo = n.checked_mul(k);
+            match lo.and_then(|lo| Some(lo..lo.checked_add(k)?)) {
+                Some(devices) => Ok(devices),
+                None => Err(ParseError::at(
+                    off,
+                    format!("a node index whose devices fit a usize index, got {n}"),
+                )),
+            }
+        }
+        fn expansion(windows: u128, off: usize, seg: &str) -> Result<(), ParseError> {
+            if windows <= MAX_SEGMENT_WINDOWS as u128 {
+                return Ok(());
+            }
+            let expected = format!(
+                "a segment expanding to at most {MAX_SEGMENT_WINDOWS} windows \
+                 ({windows} here), got {seg:?}"
+            );
+            Err(ParseError::at(off, expected))
+        }
+        /// Adds an outage on every device in `devices`. As in
+        /// `push_down`, windows on one device must neither overlap nor
+        /// touch; `outages` holds each device's windows by start, so a
+        /// check looks at the two neighbours instead of scanning them all.
+        fn downs(
+            out: &mut FaultSpec,
+            outages: &mut BTreeMap<(usize, SimTime), SimTime>,
+            devices: Range<usize>,
+            (at, until): (SimTime, Option<SimTime>),
+            off: usize,
+        ) -> Result<(), ParseError> {
+            let end = until.unwrap_or(SimTime::MAX);
+            for d in devices {
+                let before = outages.range(..=(d, at)).next_back();
+                let after = outages.range((d, at)..).next();
+                if before.is_some_and(|(&(bd, _), &b_end)| bd == d && b_end >= at)
+                    || after.is_some_and(|(&(ad, a_at), _)| ad == d && a_at <= end)
+                {
+                    return Err(ParseError::at(
+                        off,
+                        format!(
+                            "an outage that neither overlaps nor touches another on device {d}"
+                        ),
+                    ));
+                }
+                outages.insert((d, at), end);
+                out.downs.push(DeviceDown { device: DeviceId(d), at, until });
+            }
+            Ok(())
+        }
+        fn node_geometry(k: Option<usize>, at: usize, seg: &str) -> Result<usize, ParseError> {
+            k.ok_or_else(|| {
+                ParseError::at(
+                    at,
+                    format!("nodes=<devices_per_node> before node-scoped faults: {seg:?}"),
+                )
+            })
         }
         let mut out = FaultSpec::none();
         // Node geometry for `node-down:` / `niclink:` segments; set by a
         // preceding `nodes=<k>` segment and never stored on the spec — the
         // node forms expand to device-granular primitives at parse time.
         let mut devices_per_node: Option<usize> = None;
+        let mut outages = BTreeMap::new();
         let mut cursor = 0usize;
         for raw in spec.split(';') {
             let seg_start = cursor + (raw.len() - raw.trim_start().len());
@@ -557,33 +675,26 @@ impl FaultSpec {
                     })
                     .collect()
             };
+            let device = |f: &(&str, usize)| num::<usize>(f.0, f.1, "a device index").map(DeviceId);
             match fields.as_slice() {
-                [("slow", _), dev, from, until, factor] => {
-                    out = out.straggler(
-                        DeviceId(num::<usize>(dev.0, dev.1, "a device index")?),
-                        ms(from.0, from.1)?,
-                        ms(until.0, until.1)?,
-                        num::<f64>(factor.0, factor.1, "a slowdown factor")?,
-                    );
+                [("slow", _), dev, from, until, f] => {
+                    let dev = device(dev)?;
+                    let (from, until) = window(*from, *until, "straggler")?;
+                    let f = factor(f.0, f.1, "a slowdown factor")?;
+                    out = out.straggler(dev, from, until, f);
                 }
-                [("link", _), a, b, from, until, factor] => {
-                    out = out.degrade_link(
-                        DeviceId(num::<usize>(a.0, a.1, "a device index")?),
-                        DeviceId(num::<usize>(b.0, b.1, "a device index")?),
-                        ms(from.0, from.1)?,
-                        ms(until.0, until.1)?,
-                        num::<f64>(factor.0, factor.1, "a stretch factor")?,
-                    );
+                [("link", _), a, b, from, until, f] => {
+                    let (a, b) = (device(a)?, device(b)?);
+                    let (from, until) = window(*from, *until, "link")?;
+                    let f = factor(f.0, f.1, "a stretch factor")?;
+                    out = out.degrade_link(a, b, from, until, f);
                 }
                 [("part", _), a, b, from, until] => {
-                    out = out.partition_link(
-                        DeviceId(num::<usize>(a.0, a.1, "a device index")?),
-                        DeviceId(num::<usize>(b.0, b.1, "a device index")?),
-                        ms(from.0, from.1)?,
-                        ms(until.0, until.1)?,
-                    );
+                    let (a, b) = (device(a)?, device(b)?);
+                    let (from, until) = window(*from, *until, "partition")?;
+                    out = out.partition_link(a, b, from, until);
                 }
-                [("kfail", at), prob, fraction, rest @ ..] => {
+                [("kfail", at), p, fraction, rest @ ..] => {
                     let (from, until) = match rest {
                         [] => (SimTime::ZERO, SimTime::MAX),
                         [f, u] => (ms(f.0, f.1)?, ms(u.0, u.1)?),
@@ -595,13 +706,13 @@ impl FaultSpec {
                         }
                     };
                     out = out.kernel_failures(KernelFaultParams {
-                        prob: num::<f64>(prob.0, prob.1, "a failure probability")?,
-                        fraction: num::<f64>(fraction.0, fraction.1, "a runtime fraction")?,
+                        prob: prob(p.0, p.1, "a failure probability")?,
+                        fraction: prob(fraction.0, fraction.1, "a runtime fraction")?,
                         from,
                         until,
                     });
                 }
-                [("spike", at), prob, extra_us, rest @ ..] => {
+                [("spike", at), p, extra_us, rest @ ..] => {
                     let (from, until) = match rest {
                         [] => (SimTime::ZERO, SimTime::MAX),
                         [f, u] => (ms(f.0, f.1)?, ms(u.0, u.1)?),
@@ -612,95 +723,45 @@ impl FaultSpec {
                             ))
                         }
                     };
+                    let prob = prob(p.0, p.1, "a spike probability")?;
+                    let what = "extra micros up to 18446744073709551";
+                    let extra_ns = scaled(extra_us.0, extra_us.1, 1_000, what)?;
                     out = out.launch_spikes(LaunchSpikeParams {
-                        prob: num::<f64>(prob.0, prob.1, "a spike probability")?,
-                        extra: SimDuration::from_micros(num::<u64>(
-                            extra_us.0,
-                            extra_us.1,
-                            "extra micros",
-                        )?),
+                        prob,
+                        extra: SimDuration::from_nanos(extra_ns),
                         from,
                         until,
                     });
                 }
-                [("down", _), dev, window] => {
-                    let device = DeviceId(num::<usize>(dev.0, dev.1, "a device index")?);
-                    match window.0.split_once("..") {
-                        None => out = out.device_down(device, ms(window.0, window.1)?),
-                        Some((from, until)) => {
-                            let from_t = ms(from, window.1)?;
-                            let until_off = window.1 + from.len() + 2;
-                            let until_t = ms(until, until_off)?;
-                            if until_t <= from_t {
-                                return Err(ParseError::at(
-                                    window.1,
-                                    format!(
-                                        "a non-empty outage window (start < end), got {:?}",
-                                        window.0
-                                    ),
-                                ));
-                            }
-                            out = out.device_outage(device, from_t, until_t);
-                        }
-                    }
+                [("down", _), dev, w] => {
+                    let d = device(dev)?.0;
+                    downs(&mut out, &mut outages, d..d + 1, outage(*w)?, dev.1)?;
                 }
                 [("flap", _), a, b, from, until, period] => {
-                    let from_t = ms(from.0, from.1)?;
-                    let until_t = ms(until.0, until.1)?;
-                    if until_t <= from_t {
-                        return Err(ParseError::at(
-                            from.1,
-                            format!("a non-empty flap window (start < end), got {seg:?}"),
-                        ));
-                    }
-                    let period_ms = num::<u64>(period.0, period.1, "a flap period in ms")?;
-                    if period_ms == 0 {
+                    let (a, b) = (device(a)?, device(b)?);
+                    let (from, until) = window(*from, *until, "flap")?;
+                    let period_ns = ms(period.0, period.1)?.as_nanos();
+                    if period_ns == 0 {
                         return Err(ParseError::at(
                             period.1,
                             "a positive flap period in ms, got \"0\"".to_string(),
                         ));
                     }
-                    out = out.link_flap(
-                        DeviceId(num::<usize>(a.0, a.1, "a device index")?),
-                        DeviceId(num::<usize>(b.0, b.1, "a device index")?),
-                        from_t,
-                        until_t,
-                        SimDuration::from_millis(period_ms),
-                    );
+                    // One partition window per two periods of the span.
+                    let span = u128::from(until.as_nanos() - from.as_nanos());
+                    expansion(span.div_ceil(2 * u128::from(period_ns)), period.1, seg)?;
+                    let period = SimDuration::from_nanos(period_ns);
+                    out = out.link_flap(a, b, from, until, period);
                 }
-                [("node-down", at), node, window] => {
-                    let Some(k) = devices_per_node else {
-                        return Err(ParseError::at(
-                            *at,
-                            format!("nodes=<devices_per_node> before node-scoped faults: {seg:?}"),
-                        ));
-                    };
+                [("node-down", at), node, w] => {
+                    let k = node_geometry(devices_per_node, *at, seg)?;
+                    expansion(k as u128, *at, seg)?;
                     let n = num::<usize>(node.0, node.1, "a node index")?;
-                    match window.0.split_once("..") {
-                        None => out = out.node_down(k, n, ms(window.0, window.1)?),
-                        Some((from, until)) => {
-                            let from_t = ms(from, window.1)?;
-                            let until_t = ms(until, window.1 + from.len() + 2)?;
-                            if until_t <= from_t {
-                                return Err(ParseError::at(
-                                    window.1,
-                                    format!(
-                                        "a non-empty outage window (start < end), got {:?}",
-                                        window.0
-                                    ),
-                                ));
-                            }
-                            out = out.node_outage(k, n, from_t, until_t);
-                        }
-                    }
+                    let devices = node_devices(n, k, node.1)?;
+                    downs(&mut out, &mut outages, devices, outage(*w)?, node.1)?;
                 }
-                [("niclink", at), pair, from, until, factor] => {
-                    let Some(k) = devices_per_node else {
-                        return Err(ParseError::at(
-                            *at,
-                            format!("nodes=<devices_per_node> before node-scoped faults: {seg:?}"),
-                        ));
-                    };
+                [("niclink", at), pair, from, until, f] => {
+                    let k = node_geometry(devices_per_node, *at, seg)?;
                     let Some((a, b)) = pair.0.split_once('-') else {
                         return Err(ParseError::at(
                             pair.1,
@@ -715,14 +776,11 @@ impl FaultSpec {
                             format!("distinct niclink endpoint nodes, got {:?}", pair.0),
                         ));
                     }
-                    out = out.nic_link(
-                        k,
-                        na,
-                        nb,
-                        ms(from.0, from.1)?,
-                        ms(until.0, until.1)?,
-                        num::<f64>(factor.0, factor.1, "a stretch factor")?,
-                    );
+                    expansion(k as u128 * k as u128, *at, seg)?;
+                    node_devices(na.max(nb), k, pair.1)?;
+                    let (from, until) = window(*from, *until, "niclink")?;
+                    let f = factor(f.0, f.1, "a stretch factor")?;
+                    out = out.nic_link(k, na, nb, from, until, f);
                 }
                 _ => {
                     return Err(ParseError::at(
@@ -991,6 +1049,42 @@ mod tests {
         let shown = format!("{e}");
         assert!(shown.contains("at byte 5"), "{shown}");
         assert!(shown.contains("u64 seed"), "{shown}");
+    }
+
+    #[test]
+    fn parse_rejects_hostile_input_without_panicking() {
+        let cases = [
+            ("down:0:1;down:0:2", "another on device 0"),
+            ("slow:0:10:5:1.5", "a non-empty straggler window"),
+            ("slow:0:1:2:0.5", "a slowdown factor (finite, at least 1)"),
+            ("slow:0:1:2:NaN", "a slowdown factor (finite, at least 1)"),
+            ("link:0:1:1:2:0.5", "a stretch factor (finite, at least 1)"),
+            ("part:0:1:5:5", "a non-empty partition window"),
+            ("kfail:2.0:0.5", "a failure probability in [0, 1]"),
+            ("spike:5:10", "a spike probability in [0, 1]"),
+            ("down:0:18446744073709551615", "a millisecond count up to"),
+            ("nodes=4;node-down:4611686018427387904:1", "a node index"),
+        ];
+        for (spec, expect) in cases {
+            let err = FaultSpec::parse(spec).unwrap_err();
+            assert!(err.expected.contains(expect), "{spec:?} gave {err}, wanted {expect:?}");
+        }
+    }
+
+    #[test]
+    fn parse_bounds_how_far_one_segment_expands() {
+        let max = MAX_SEGMENT_WINDOWS;
+        // A 1 ms flap period gives one partition window per 2 ms of span.
+        let flap = |windows: usize| format!("flap:0:1:0:{}:1", 2 * windows);
+        assert_eq!(FaultSpec::parse(&flap(max)).unwrap().link_faults().len(), max);
+        let node = |k: usize| format!("nodes={k};node-down:0:5");
+        assert_eq!(FaultSpec::parse(&node(max)).unwrap().device_downs().len(), max);
+        let nic = |k: usize| format!("nodes={k};niclink:0-1:1:2:2");
+        assert_eq!(FaultSpec::parse(&nic(32)).unwrap().link_faults().len(), 32 * 32);
+        for spec in [flap(max + 1), node(max + 1), nic(33)] {
+            let err = FaultSpec::parse(&spec).unwrap_err();
+            assert!(err.expected.contains("at most 1024 windows"), "{spec:?} gave {err}");
+        }
     }
 
     #[test]
