@@ -25,7 +25,7 @@
 //! Flags: `--jobs N` (default 96), `--smoke` (small fixed trace, exercises
 //! the accounting/output/rejoin gates only — used by CI).
 
-use liger_bench::{arg_flag, arg_value, Node, Table};
+use liger_bench::{arg_flag, arg_parse, Node, Table};
 use liger_core::{LigerConfig, LigerEngine};
 use liger_gpu_sim::{DeviceId, FaultSpec, SimDuration, SimTime};
 use liger_model::ModelConfig;
@@ -86,11 +86,7 @@ fn run(world: usize, jobs: Vec<GenerationJob>, faults: Option<FaultSpec>) -> Con
 
 fn main() {
     let smoke = arg_flag("smoke");
-    let n: u64 = if smoke {
-        16
-    } else {
-        arg_value("jobs").map(|v| v.parse().expect("--jobs takes a count")).unwrap_or(96)
-    };
+    let n: u64 = if smoke { 16 } else { arg_parse("jobs", 96) };
     let world = 4;
     let rate = 250.0;
     // The outage is anchored early so the re-expanded world serves most of

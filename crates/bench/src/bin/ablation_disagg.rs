@@ -31,7 +31,7 @@
 //! Flags: `--requests N` (default 300), `--seed S` (default 42),
 //! `--smoke` (small fixed workload — used by CI).
 
-use liger_bench::{arg_flag, arg_value, default_requests, Node, Table};
+use liger_bench::{arg_flag, arg_parse, default_requests, Node, Table};
 use liger_collectives::{ClusterTopology, NicLink};
 use liger_core::{LigerConfig, LigerEngine};
 use liger_gpu_sim::rng::Rng;
@@ -154,7 +154,7 @@ fn sanitize_or_fail(label: &str, trace: &Trace, failed: &mut bool) {
 fn main() {
     let smoke = arg_flag("smoke");
     let requests = if smoke { 40 } else { default_requests() };
-    let seed: u64 = arg_value("seed").and_then(|v| v.parse().ok()).unwrap_or(42);
+    let seed: u64 = arg_parse("seed", 42);
     // Enough pressure that prompts keep arriving while decodes run — the
     // interference regime disaggregation removes.
     let rate = if smoke { 30.0 } else { 50.0 };

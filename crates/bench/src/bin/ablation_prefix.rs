@@ -23,7 +23,7 @@
 //! Flags: `--requests N` (default 96), `--faults <spec>` (e.g. `down:2:5`),
 //! `--smoke` (small fixed workload — used by CI).
 
-use liger_bench::{arg_faults, arg_flag, arg_value, Node, Table};
+use liger_bench::{arg_faults, arg_flag, arg_parse, Node, Table};
 use liger_core::{LigerConfig, LigerEngine};
 use liger_gpu_sim::{DeviceId, FaultSpec, SimDuration, SimTime};
 use liger_model::{ModelConfig, RecoveryPolicy};
@@ -168,8 +168,7 @@ fn sanitize_or_fail(label: &str, trace: &liger_gpu_sim::Trace, df: u64, failed: 
 
 fn main() {
     let smoke = arg_flag("smoke");
-    let requests =
-        if smoke { 24 } else { arg_value("requests").and_then(|v| v.parse().ok()).unwrap_or(96) };
+    let requests = if smoke { 24 } else { arg_parse("requests", 96) };
     let world = 4;
     let jobs = workload(requests);
 

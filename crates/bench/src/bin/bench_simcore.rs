@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use liger_bench::{arg_flag, arg_value, Table};
+use liger_bench::{arg_flag, arg_parse, Table};
 use liger_gpu_sim::prelude::*;
 
 struct Flood {
@@ -49,10 +49,8 @@ impl Driver for Flood {
 
 fn main() {
     let smoke = arg_flag("smoke");
-    let devices: usize = arg_value("devices").and_then(|v| v.parse().ok()).unwrap_or(8).max(1);
-    let depth_default = if smoke { 50 } else { 2000 };
-    let per_queue: usize =
-        arg_value("depth").and_then(|v| v.parse().ok()).unwrap_or(depth_default).max(1);
+    let devices: usize = arg_parse("devices", 8).max(1);
+    let per_queue: usize = arg_parse("depth", if smoke { 50 } else { 2000 }).max(1);
 
     println!("Simulator core benchmark — {devices} devices x 4 queues x {per_queue} kernels");
     let mut builder = Simulation::builder().devices(DeviceSpec::v100_16gb(), devices);

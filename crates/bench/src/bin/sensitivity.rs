@@ -10,7 +10,7 @@
 //!
 //! Flags: `--requests N` (default 200).
 
-use liger_bench::{arg_value, intra_capacity, Node, Table};
+use liger_bench::{arg_parse, intra_capacity, Node, Table};
 use liger_core::{LigerConfig, LigerEngine};
 use liger_model::{BatchShape, CostModel, ModelConfig};
 use liger_parallelism::{InterOpEngine, IntraOpEngine, PipelineFlavor};
@@ -47,7 +47,7 @@ fn run(cost: &CostModel, node: Node, rate: f64, requests: usize) -> (f64, f64, f
 }
 
 fn main() {
-    let requests: usize = arg_value("requests").and_then(|v| v.parse().ok()).unwrap_or(200);
+    let requests: usize = arg_parse("requests", 200);
     let node = Node::V100;
     let base_cap = intra_capacity(&ModelConfig::opt_30b(), node, 4, BatchShape::prefill(2, 72));
 

@@ -438,6 +438,16 @@ pub fn arg_value(name: &str) -> Option<String> {
     None
 }
 
+/// Parses `--name value` as a `T`, or returns `default` when the flag is
+/// absent. A value that does not parse exits with status 2, naming the flag.
+pub fn arg_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let Some(raw) = arg_value(name) else { return default };
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("invalid --{name} value {raw:?}");
+        std::process::exit(2);
+    })
+}
+
 /// True when `--name` appears in the process arguments.
 pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == format!("--{name}"))
@@ -446,7 +456,7 @@ pub fn arg_flag(name: &str) -> bool {
 /// Requests per measured point: `--requests N` or 300 by default (the paper
 /// serves 2000; pass `--requests 2000` for full fidelity).
 pub fn default_requests() -> usize {
-    arg_value("requests").and_then(|v| v.parse().ok()).unwrap_or(300)
+    arg_parse("requests", 300)
 }
 
 #[cfg(test)]
