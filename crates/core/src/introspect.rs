@@ -16,7 +16,7 @@
 //! deliberately absent: they never enqueue device work, so they cannot
 //! participate in a device-side deadlock.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use liger_gpu_sim::KernelClass;
 
@@ -58,44 +58,6 @@ pub enum PlanOp {
 pub struct LaunchProgram {
     /// Ops per `(device, stream)`, each in enqueue order.
     pub lanes: BTreeMap<(usize, usize), Vec<PlanOp>>,
-}
-
-/// Static footprint of one launch-program lane: everything its execution
-/// can observe or influence outside pure kernel timing. Two lanes with
-/// disjoint footprints commute — no interleaving of their operations is
-/// distinguishable from any other.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneFootprint {
-    /// Owning device.
-    pub device: usize,
-    /// Stream index on the device.
-    pub stream: usize,
-    /// Number of kernel launches in the lane.
-    pub kernels: usize,
-    /// Events the lane records.
-    pub records: BTreeSet<u64>,
-    /// Events the lane waits on.
-    pub waits: BTreeSet<u64>,
-    /// Collectives the lane participates in.
-    pub collectives: BTreeSet<u64>,
-}
-
-impl LaneFootprint {
-    /// Every event the lane touches, recorded or waited on.
-    pub fn events(&self) -> BTreeSet<u64> {
-        self.records.union(&self.waits).copied().collect()
-    }
-
-    /// True when no interleaving of the two lanes' operations can change
-    /// any outcome: different devices (same-device lanes share hardware
-    /// queues and contention state), no shared events, and no shared
-    /// collectives. Mirrors `DispatchFootprint::intersects` in the
-    /// simulator, which the model checker evaluates dynamically.
-    pub fn commutes_with(&self, other: &LaneFootprint) -> bool {
-        self.device != other.device
-            && self.events().intersection(&other.events()).next().is_none()
-            && self.collectives.intersection(&other.collectives).next().is_none()
-    }
 }
 
 /// Per-batch launch state the engine tracks across rounds.
@@ -258,65 +220,6 @@ impl LaunchProgram {
         self.lanes.get(&(device, stream)).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Static footprint of every lane, in lane order. This is the
-    /// program-level analogue of the simulator's dispatch footprints: the
-    /// schedule-space model checker keys its partial-order reduction on the
-    /// same (device, event, collective) state, so the fraction of lane
-    /// pairs that commute here predicts how much of the interleaving space
-    /// DPOR can prune before any schedule runs.
-    pub fn lane_footprints(&self) -> Vec<LaneFootprint> {
-        self.lanes
-            .iter()
-            .map(|(&(device, stream), ops)| {
-                let mut fp = LaneFootprint {
-                    device,
-                    stream,
-                    kernels: 0,
-                    records: BTreeSet::new(),
-                    waits: BTreeSet::new(),
-                    collectives: BTreeSet::new(),
-                };
-                for op in ops {
-                    match op {
-                        PlanOp::Kernel { collective, .. } => {
-                            fp.kernels += 1;
-                            if let Some(c) = collective {
-                                fp.collectives.insert(*c);
-                            }
-                        }
-                        PlanOp::Record { event } => {
-                            fp.records.insert(*event);
-                        }
-                        PlanOp::Wait { event } => {
-                            fp.waits.insert(*event);
-                        }
-                    }
-                }
-                fp
-            })
-            .collect()
-    }
-
-    /// Counts statically commutable lane pairs: `(commutable, total)` over
-    /// all unordered pairs of non-empty lanes. A ratio near 1 means the
-    /// program's schedule space collapses to almost nothing under DPOR; a
-    /// ratio near 0 means every interleaving is order-sensitive and
-    /// exploration degenerates toward naive enumeration.
-    pub fn commutable_lane_pairs(&self) -> (usize, usize) {
-        let fps = self.lane_footprints();
-        let mut commutable = 0;
-        let mut total = 0;
-        for i in 0..fps.len() {
-            for j in i + 1..fps.len() {
-                total += 1;
-                if fps[i].commutes_with(&fps[j]) {
-                    commutable += 1;
-                }
-            }
-        }
-        (commutable, total)
-    }
-
     /// Total ops across every lane.
     pub fn len(&self) -> usize {
         self.lanes.values().map(Vec::len).sum()
@@ -438,44 +341,6 @@ mod tests {
         assert!(matches!(lane[1], PlanOp::Record { .. }));
         assert!(matches!(lane[2], PlanOp::Kernel { .. }));
         assert!(matches!(lane[3], PlanOp::Record { .. }));
-    }
-
-    #[test]
-    fn lane_footprints_summarize_ops() {
-        let plans = vec![plan(vec![item(0, true, false)], vec![item(1, false, false)], true)];
-        let prog = LaunchProgram::from_plans(&plans, 2, false);
-        let fps = prog.lane_footprints();
-        for fp in &fps {
-            assert!(fp.kernels > 0 || !fp.records.is_empty() || !fp.waits.is_empty());
-            if fp.stream == PRIMARY_STREAM {
-                assert_eq!(fp.collectives.len(), 1, "comm primary joins one collective: {fp:?}");
-            }
-        }
-        // Primary lanes share the collective: they must not commute.
-        let primary: Vec<&LaneFootprint> =
-            fps.iter().filter(|f| f.stream == PRIMARY_STREAM).collect();
-        assert_eq!(primary.len(), 2);
-        assert!(!primary[0].commutes_with(primary[1]));
-        // A lane never commutes with a lane on its own device.
-        let d0: Vec<&LaneFootprint> = fps.iter().filter(|f| f.device == 0).collect();
-        assert!(d0.len() >= 2 && !d0[0].commutes_with(d0[1]));
-    }
-
-    #[test]
-    fn commutable_pairs_track_cross_device_independence() {
-        // Two compute-only rounds with no events shared across devices:
-        // cross-device secondary lanes commute, same-device pairs do not.
-        let plans = vec![plan(vec![item(0, false, false)], vec![], false)];
-        let prog = LaunchProgram::from_plans(&plans, 2, false);
-        let (commutable, total) = prog.commutable_lane_pairs();
-        assert_eq!(total, 1, "one primary lane per device: {:?}", prog.lanes.keys());
-        // Each lane records its own E2, so the pair shares no events.
-        assert_eq!(commutable, 1);
-
-        // A comm round couples the devices through the collective.
-        let plans = vec![plan(vec![item(0, true, false)], vec![], true)];
-        let prog = LaunchProgram::from_plans(&plans, 2, false);
-        assert_eq!(prog.commutable_lane_pairs(), (0, 1));
     }
 
     /// The replay and the real engine agree: for a real planned workload,

@@ -41,5 +41,5 @@ pub mod scheduler;
 pub use config::{LigerConfig, SyncMode};
 pub use engine::LigerEngine;
 pub use funcvec::FuncVec;
-pub use introspect::{LaneFootprint, LaunchProgram, PlanOp};
+pub use introspect::{LaunchProgram, PlanOp};
 pub use scheduler::{plan_round, LaunchItem, PlanParams, RoundPlan};

@@ -73,16 +73,12 @@ pub struct ClusterConfig {
     pub policy: RouterPolicy,
     /// Per-replica continuous-batching configuration.
     pub scheduler: SchedulerConfig,
-    /// Re-route jobs an unhealthy replica failed to complete in a second
-    /// wave over the healthy replicas (on by default).
-    pub reroute: bool,
 }
 
 impl ClusterConfig {
-    /// A cluster of `replicas` replicas under `scheduler`, round-robin,
-    /// with re-routing on.
+    /// A cluster of `replicas` replicas under `scheduler`, round-robin.
     pub fn new(replicas: usize, scheduler: SchedulerConfig) -> ClusterConfig {
-        ClusterConfig { replicas, policy: RouterPolicy::RoundRobin, scheduler, reroute: true }
+        ClusterConfig { replicas, policy: RouterPolicy::RoundRobin, scheduler }
     }
 
     /// Overrides the routing policy.
@@ -250,7 +246,7 @@ pub fn serve_cluster<E: InferenceEngine>(
 
     // Wave 2: re-route everything the unhealthy replicas dropped onto the
     // healthy set, round-robin in arrival order.
-    if config.reroute && !unfinished.is_empty() {
+    if !unfinished.is_empty() {
         unfinished.sort_unstable_by_key(|id| (by_id[id].arrival, *id));
         let mut healthy: Vec<usize> =
             (0..config.replicas).filter(|&r| report.replicas[r].healthy).collect();
