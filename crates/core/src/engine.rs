@@ -504,6 +504,33 @@ impl LigerEngine {
             .find(|v| v.batch_id == id)
             .map(|v| (v.batch_id, v.last_stream, v.dep_events.as_ref()))
     }
+
+    /// The replan common to a loss and a rejoin: abandons every queued and
+    /// in-flight batch and returns their ids, ascending (the caller
+    /// resubmits them). Outstanding completion records go stale behind the
+    /// epoch bump, and weights and working sets are re-allocated over the
+    /// new placement at the next submit.
+    fn abandon(&mut self, sim: &mut Simulation) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .processing
+            .iter()
+            .chain(self.waiting.iter())
+            .map(|v| v.batch_id)
+            .chain(self.completion_pending.drain(..))
+            .collect();
+        ids.sort_unstable();
+        // A notified batch can still sit in `processing` until the next
+        // purge, so the two sources may overlap.
+        ids.dedup();
+        self.processing.clear();
+        self.waiting.clear();
+        self.prev_e2 = None;
+        self.observations.clear();
+        self.phase = Phase::Idle;
+        self.epoch += 1;
+        self.memory.release_all(sim);
+        ids
+    }
 }
 
 impl InferenceEngine for LigerEngine {
@@ -592,8 +619,8 @@ impl InferenceEngine for LigerEngine {
             // engine's round state machine needs no transition here.
             Wake::KernelFailed { .. } => {}
             // Permanent losses are likewise driven from the serving layer —
-            // the recovery runner waits for its watchdog to confirm, then
-            // calls `on_device_loss`. The oracle wake itself is not acted on.
+            // the runner waits for its watchdog to confirm, then calls
+            // `on_device_loss`. The oracle wake itself is not acted on.
             Wake::DeviceDown { .. } => {}
             // Same for rejoins: the watchdog re-confirms the device through
             // its quarantine before the runner calls `on_device_rejoin`.
@@ -614,28 +641,7 @@ impl InferenceEngine for LigerEngine {
         assert!(!survivors.is_empty(), "cannot replan over zero survivors");
         check_divisibility_relaxed(&self.cfg, survivors.len() as u32)
             .expect("model cannot be replanned over the survivors");
-        // Abandon every queued and in-flight batch; the caller resubmits.
-        let mut ids: Vec<u64> = self
-            .processing
-            .iter()
-            .chain(self.waiting.iter())
-            .map(|v| v.batch_id)
-            .chain(self.completion_pending.drain(..))
-            .collect();
-        ids.sort_unstable();
-        // A notified batch can still sit in `processing` until the next
-        // purge, so the two sources may overlap.
-        ids.dedup();
-        self.processing.clear();
-        self.waiting.clear();
-        self.prev_e2 = None;
-        self.observations.clear();
-        self.phase = Phase::Idle;
-        // Outstanding completion records (on survivors) become stale.
-        self.epoch += 1;
-        // Weights and working sets are re-allocated over the new placement
-        // at the next submit.
-        self.memory.release_all(sim);
+        let ids = self.abandon(sim);
         // Collective rings are rebuilt around the hole: point-to-point
         // bricks route past the dead GPU, so NVLink-style fabrics lose bus
         // bandwidth proportionally (PCIe switches are indifferent).
@@ -653,28 +659,8 @@ impl InferenceEngine for LigerEngine {
         assert!(!devices.is_empty(), "cannot replan over zero devices");
         check_divisibility_relaxed(&self.cfg, devices.len() as u32)
             .expect("model cannot be replanned over the rejoined set");
-        // Re-expansion is a replan, exactly like a loss: every queued and
-        // in-flight batch is abandoned (the caller resubmits), outstanding
-        // completion records go stale behind the epoch bump, and weights
-        // are re-sharded over the wider placement at the next submit.
-        let mut ids: Vec<u64> = self
-            .processing
-            .iter()
-            .chain(self.waiting.iter())
-            .map(|v| v.batch_id)
-            .chain(self.completion_pending.drain(..))
-            .collect();
-        ids.sort_unstable();
-        // A notified batch can still sit in `processing` until the next
-        // purge, so the two sources may overlap.
-        ids.dedup();
-        self.processing.clear();
-        self.waiting.clear();
-        self.prev_e2 = None;
-        self.observations.clear();
-        self.phase = Phase::Idle;
-        self.epoch += 1;
-        self.memory.release_all(sim);
+        // Re-expansion is a replan, exactly like a loss.
+        let ids = self.abandon(sim);
         // Rings are rebuilt around the returned brick: bandwidth recovers
         // to the pristine topology scaled by how much of the original
         // world is back (fully healthy when everyone rejoined).
